@@ -7,11 +7,9 @@ if the measured trie-vs-reference *speedup ratio* falls below
 wall-clock makes the guard robust to machine speed: both kernels run on
 the same box, so a uniformly slower host cancels out.
 
-Also re-measures the arena kernel's acceptance bars — node-build
-throughput/memory vs. the object-node baseline (≥ ``MIN_NODE_BUILD_WIN``
-on at least one axis, plus an absolute ids/sec floor) and the flat
-snapshot codec's win over the legacy object-walk codec (≥
-``MIN_SNAPSHOT_SCALE_SPEEDUP`` at the combined-system scale case) — and
+Also re-measures the arena kernel's absolute floors — node-build
+throughput (≥ ``MIN_ARENA_IDS_PER_S``) and flat snapshot round-trip
+throughput (≥ ``MIN_SNAPSHOT_NODES_PER_S``) — and
 re-derives ``BENCH_engine.json``'s definition-level accounting —
 which is *deterministic*, so it must match the recording exactly and the
 multiplier reduction must stay ≥ ``MIN_ENGINE_REDUCTION`` — and
@@ -75,19 +73,16 @@ DELTA_GUARD_SYSTEMS = ("multiplier", "protocol")
 #: the warm run is sub-millisecond and timing-noisy.)
 MIN_WARM_SPEEDUP = 3.0
 
-#: Arena acceptance: each node-build case must keep beating the object
-#: kernel ≥2× on throughput OR peak memory (it currently wins both).
-MIN_NODE_BUILD_WIN = 2.0
-
 #: Absolute node-construction floor — deliberately loose (measured rates
 #: are ~15× this) so the guard survives slow CI hosts, while still
 #: catching a collapse of the arena intern fast path.
 MIN_ARENA_IDS_PER_S = 20_000
 
-#: The snapshot *scale* case (last entry, combined solved systems) must
-#: keep the flat codec ≥5× faster than the legacy object-walk codec;
-#: every other snapshot case just must not regress below parity.
-MIN_SNAPSHOT_SCALE_SPEEDUP = 5.0
+#: Absolute snapshot round-trip floor (encode + JSON + cold decode, in
+#: solved nodes per second) — loose in the same way: measured rates are
+#: well over 10× this on every recorded case, so only a collapse of the
+#: flat codec or its bulk splice trips it.
+MIN_SNAPSHOT_NODES_PER_S = 40_000
 
 #: Warm-daemon queries must beat cold CLI invocations by at least this
 #: factor (the PR's acceptance bar is ≥5×; recorded ratios are >100×,
@@ -102,14 +97,15 @@ MIN_SERVE_SPEEDUP = 5.0
 #: milliseconds of snapshot decode and timing-noisy on loaded hosts.
 MIN_EXPLORER_WARM_SPEEDUP = 3.0
 
-#: The process pool must beat the thread pool by at least this factor
-#: on the largest recorded twin-machine case (the acceptance bar of the
-#: shared-memory arena work: two same-rank heavyweight SCCs, pure-Python
-#: solves, so threads serialise on the GIL while processes solve into
-#: private arenas and splice flat segments back).  Only the largest case
-#: is enforced — the smaller one is too fast for the fork/splice
-#: overhead to amortise reliably on a loaded host.
-MIN_PROCESS_SPEEDUP = 1.3
+#: Forked workers (``jobs=2``) must beat a sequential solve (``jobs=1``)
+#: by at least this factor on the largest recorded twin-machine case:
+#: two same-rank heavyweight SCCs, each solved in its own child and
+#: spliced back.  Only the largest case is enforced — the smaller one is
+#: too fast for the fork/splice overhead to amortise reliably on a loaded
+#: host — and only with two or more CPUs.  Idle 2-vCPU runs measure
+#: ×1.64–1.79; the floor leaves room for noise, but a guard run beside
+#: another CPU-bound job (measured ×1.01) will trip it.
+MIN_PROCESS_SPEEDUP = 1.2
 
 #: Recorded baselines below this are too fast to re-time stably.
 MIN_BASELINE_S = 0.04
@@ -146,46 +142,33 @@ ALL_SYSTEMS = {"copier": copier, "protocol": protocol, "multiplier": multiplier}
 
 
 def check_arena(report: dict) -> list:
-    """Re-measure the arena-vs-object node-build and snapshot cases and
-    hold them to the arena acceptance bars (absolute floors, not ratios
-    of the recording — the bars are the PR's acceptance criteria)."""
+    """Re-measure the node-build and snapshot cases and hold them to the
+    arena's absolute throughput floors."""
     failures = []
     for case in report["node_build_cases"]:
         match = _NODE_BUILD.fullmatch(case["case"])
         if not match:
             continue
-        measured = _node_build_case(int(match.group(1)))
-        win = max(measured["throughput_ratio"], measured["memory_ratio"])
-        ok = (
-            win >= MIN_NODE_BUILD_WIN
-            and measured["arena_ids_per_s"] >= MIN_ARENA_IDS_PER_S
-        )
-        recorded = max(case["throughput_ratio"], case["memory_ratio"])
+        measured = _node_build_case(int(match.group(1)))["arena_ids_per_s"]
+        ok = measured >= MIN_ARENA_IDS_PER_S
         print(
             f"{'ok' if ok else 'FAIL':<4} {case['case']:<42} "
-            f"recorded ×{recorded:<6} measured ×{win} "
-            f"(floor ×{MIN_NODE_BUILD_WIN}; "
-            f"{measured['arena_ids_per_s']} ids/s, floor {MIN_ARENA_IDS_PER_S})"
+            f"recorded {case['arena_ids_per_s']} ids/s, measured {measured} "
+            f"(floor {MIN_ARENA_IDS_PER_S})"
         )
         if not ok:
             failures.append(case["case"])
-    snapshot_cases = report["snapshot_cases"]
-    for i, case in enumerate(snapshot_cases):
+    for case in report["snapshot_cases"]:
         match = _SNAPSHOT.fullmatch(case["case"])
         if not match:
             continue
         systems = tuple(ALL_SYSTEMS[n] for n in match.group(1).split("+"))
-        measured = _snapshot_case(systems, int(match.group(2)))
-        floor = (
-            MIN_SNAPSHOT_SCALE_SPEEDUP
-            if i == len(snapshot_cases) - 1
-            else 1.0
-        )
-        ok = measured["speedup"] >= floor
+        measured = _snapshot_case(systems, int(match.group(2)))["nodes_per_s"]
+        ok = measured >= MIN_SNAPSHOT_NODES_PER_S
         print(
             f"{'ok' if ok else 'FAIL':<4} {case['case']:<42} "
-            f"recorded ×{case['speedup']:<6} measured ×{measured['speedup']} "
-            f"(floor ×{floor})"
+            f"recorded {case['nodes_per_s']} nodes/s, measured {measured} "
+            f"(floor {MIN_SNAPSHOT_NODES_PER_S})"
         )
         if not ok:
             failures.append(case["case"])
@@ -257,9 +240,9 @@ def check_engine(report: dict) -> list:
 
 
 def check_process_jobs(report: dict) -> list:
-    """Re-measure the twin-machine process-vs-thread cases; the largest
-    (last) one must keep the process pool ≥ ``MIN_PROCESS_SPEEDUP``
-    ahead of the thread pool."""
+    """Re-measure the twin-machine fork-vs-sequential cases; the largest
+    (last) one must keep ``jobs=2`` ≥ ``MIN_PROCESS_SPEEDUP`` ahead of
+    ``jobs=1``."""
     import os
 
     from benchmarks.bench_kernel import PROCESS_JOBS_CASES, _process_jobs_case
@@ -268,6 +251,9 @@ def check_process_jobs(report: dict) -> list:
     cases = report.get("process_jobs_cases", [])
     if not hasattr(os, "fork"):
         print("skip process-jobs cases (no os.fork)")
+        return failures
+    if (os.cpu_count() or 1) < 2:
+        print("skip process-jobs cases (fewer than 2 CPUs)")
         return failures
     for i, recorded in enumerate(cases):
         p, depth, sample = PROCESS_JOBS_CASES[i]

@@ -275,65 +275,27 @@ def generate(depths=(4, 5, 6, 7, 8)) -> dict:
         "description": (
             "Arena trace-trie kernel vs. flat-set reference "
             "(seed representation); best-of-3 cold-kernel wall clock. "
-            "node_build_cases grow one long-lived store with the "
-            "struct-of-arrays arena vs. the prior object-node "
-            "representation (throughput in interned ids/sec, tracemalloc "
-            "peak bytes over the retained population, process peak RSS); "
-            "snapshot_cases round-trip solved systems through three "
-            "codecs (PR 5 object-walk replica, retained legacy format-1, "
-            "flat format-2 packed segments)."
+            "node_build_cases grow one long-lived struct-of-arrays arena "
+            "(absolute throughput in interned ids/sec, tracemalloc peak "
+            "bytes over the retained population, process peak RSS); "
+            "snapshot_cases round-trip solved systems through the flat "
+            "format-2 packed-segment codec (absolute wall clock and "
+            "nodes/sec)."
         ),
         "cases": cases,
         "node_build_cases": node_build_cases,
         "snapshot_cases": snapshot_cases,
         "kernel_stats_after_protocol_depth6": kernel_stats,
         "max_speedup": max(c["speedup"] for c in cases),
-        # per case, the arena must win ≥2× on throughput OR peak memory
-        "min_node_build_win": min(
-            max(c["throughput_ratio"], c["memory_ratio"])
-            for c in node_build_cases
-        ),
-        "min_snapshot_speedup": min(c["speedup"] for c in snapshot_cases),
-        # the scale case (last entry) carries the ≥5× acceptance bar
-        "snapshot_scale_speedup": snapshot_cases[-1]["speedup"],
+        "min_arena_ids_per_s": min(c["arena_ids_per_s"] for c in node_build_cases),
+        "min_snapshot_nodes_per_s": min(c["nodes_per_s"] for c in snapshot_cases),
     }
     return report
 
 
 # ---------------------------------------------------------------------------
-# Arena vs. object-node kernel (node-build throughput, peak memory, snapshots)
+# Arena kernel: node-build throughput, peak memory, snapshot round-trips
 # ---------------------------------------------------------------------------
-
-
-class _ObjectNode:
-    """A pre-arena object node: per-node Python object holding a sorted
-    ``items`` tuple, with counts/heights computed eagerly — the
-    representation PR 5 shipped, replicated here as the baseline."""
-
-    __slots__ = ("items", "count", "height")
-
-    def __init__(self, items):
-        self.items = items
-        self.count = 1 + sum(child.count for _, child in items)
-        self.height = 1 + max((child.height for _, child in items), default=-1)
-
-
-def _object_make_node(children, interner):
-    """Faithful PR 5 ``make_node``: sort items by the event's sort key,
-    intern on the ``(Event, id(child))`` tuple, fire the same fault and
-    governor hooks the arena fires — so the comparison times only the
-    representation."""
-    from repro.runtime import faults as _faults
-    from repro.runtime import governor as _governor
-
-    items = tuple(sorted(children.items(), key=lambda kv: kv[0].sort_key()))
-    key = tuple((event, id(child)) for event, child in items)
-    node = interner.get(key)
-    if node is None:
-        _faults.maybe_fail("trie.intern")
-        _governor.note_node()
-        node = interner[key] = _ObjectNode(items)
-    return node
 
 
 def _solve_roots(systems, depth: int, sample: int) -> dict:
@@ -359,8 +321,8 @@ def _solve_roots(systems, depth: int, sample: int) -> dict:
 def _roots_spec(roots: dict):
     """A solved root set as a kernel-neutral structural spec: a
     post-order node list of ``(event index, child position)`` edge lists
-    plus the event table.  Both builders replay the same spec, so the
-    comparison times representation, not semantics."""
+    plus the event table, replayed by the node-build case so it times
+    interning, not semantics."""
     events = []
     event_index = {}
     spec = []
@@ -420,17 +382,9 @@ def _build_arena(spec, events, arena):
     return ids
 
 
-def _build_objects(spec, events, interner):
-    built = []
-    for edges in spec:
-        children = {events[e]: built[c] for e, c in edges}
-        built.append(_object_make_node(children, interner))
-    return built
-
-
 def _node_build_case(depth: int = 6) -> dict:
     """Node-construction throughput (interned ids per second) and peak
-    memory, arena vs. object nodes.
+    memory of the arena kernel.
 
     The population replays the solved protocol system's structure many
     times into ONE store, each replay on a renamed event alphabet so
@@ -455,12 +409,6 @@ def _node_build_case(depth: int = 6) -> dict:
             _build_arena(spec, evs, arena)
         return arena
 
-    def object_population():
-        interner = {}
-        for evs in event_sets:
-            _build_objects(spec, evs, interner)
-        return interner
-
     def timed(population) -> float:
         best = float("inf")
         for _ in range(3):
@@ -470,7 +418,6 @@ def _node_build_case(depth: int = 6) -> dict:
         return best
 
     arena_s = timed(arena_population)
-    object_s = timed(object_population)
 
     def peak(population) -> int:
         tracemalloc.start()
@@ -481,7 +428,6 @@ def _node_build_case(depth: int = 6) -> dict:
         return high
 
     arena_peak = peak(arena_population)
-    object_peak = peak(object_population)
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     built = n * reps
@@ -490,167 +436,53 @@ def _node_build_case(depth: int = 6) -> dict:
         "distinct_nodes": n,
         "replays": reps,
         "population": built,
-        "object_s": round(object_s, 6),
         "arena_s": round(arena_s, 6),
-        "object_ids_per_s": round(built / object_s) if object_s else float("inf"),
         "arena_ids_per_s": round(built / arena_s) if arena_s else float("inf"),
-        "throughput_ratio": round(object_s / arena_s, 2) if arena_s else float("inf"),
-        "object_peak_bytes": object_peak,
         "arena_peak_bytes": arena_peak,
-        "memory_ratio": round(object_peak / arena_peak, 2) if arena_peak else float("inf"),
         "peak_rss_kb": rss_kb,
     }
     print(
-        f"{case['case']:<42} objects {case['object_ids_per_s']:>9} ids/s   "
-        f"arena {case['arena_ids_per_s']:>9} ids/s   ×{case['throughput_ratio']}"
-        f"   mem ×{case['memory_ratio']} (rss {rss_kb} kB)"
+        f"{case['case']:<42} arena {case['arena_ids_per_s']:>9} ids/s   "
+        f"peak {arena_peak} B (rss {rss_kb} kB)"
     )
     return case
 
 
-# -- PR 5 object-kernel snapshot codec (replica, baseline only) -------------
-
-
-def _object_roots(roots: dict, interner: dict) -> dict:
-    """Mirror an arena root set into the object-node kernel — the
-    population PR 5's codec walked."""
-
-    def convert(view, memo):
-        key = view.id
-        node = memo.get(key)
-        if node is None:
-            children = {e: convert(c, memo) for e, c in view.items}
-            node = memo[key] = _object_make_node(children, interner)
-        return node
-
-    memo = {}
-    return {slot: convert(root, memo) for slot, root in roots.items()}
-
-
-def _encode_roots_objects(roots: dict) -> dict:
-    """The PR 5 encoder: iterative object walk emitting per-node edge
-    lists as plain JSON arrays."""
-    from repro import serialize
-
-    events, event_index, nodes, node_index = [], {}, [], {}
-
-    def eid(e):
-        i = event_index.get(e)
-        if i is None:
-            i = event_index[e] = len(events)
-            events.append(e)
-        return i
-
-    for root in roots.values():
-        if id(root) in node_index:
-            continue
-        stack = [(root, False)]
-        while stack:
-            cur, expanded = stack.pop()
-            if id(cur) in node_index:
-                continue
-            if expanded:
-                node_index[id(cur)] = len(nodes)
-                nodes.append(
-                    [[eid(e), node_index[id(c)]] for e, c in cur.items]
-                )
-                continue
-            stack.append((cur, True))
-            for _, c in cur.items:
-                if id(c) not in node_index:
-                    stack.append((c, False))
-    return {
-        "events": [serialize.encode(e) for e in events],
-        "nodes": nodes,
-        "roots": {slot: node_index[id(r)] for slot, r in roots.items()},
-    }
-
-
-def _decode_roots_objects(data: dict, interner: dict) -> dict:
-    """The PR 5 decoder: rebuild each node bottom-up through the object
-    interner (never trusting the file)."""
-    from repro import serialize
-    from repro.traces.events import Event
-
-    events = [serialize.decode(e) for e in data["events"]]
-    assert all(isinstance(e, Event) for e in events)
-    decoded = []
-    for entry in data["nodes"]:
-        children = {}
-        for ei, ci in entry:
-            assert 0 <= ci < len(decoded)
-            children[events[ei]] = decoded[ci]
-        decoded.append(_object_make_node(children, interner))
-    return {slot: decoded[i] for slot, i in data["roots"].items()}
-
-
 def _snapshot_case(systems, depth: int, sample: int = 3) -> dict:
     """Snapshot round-trip (encode → json.dumps → json.loads → cold
-    decode) of a solved system set, three codecs:
+    decode) of a solved system set through the format-2 packed-segment
+    codec with bulk splice: best-of-3 ``flat_s`` and the ``nodes_per_s``
+    it implies.
 
-    * ``object_s`` — the PR 5 path: object-walk encode over the object
-      kernel, decode re-interning into a cold object interner;
-    * ``legacy_s`` — the retained format-1 codec run on today's arena
-      kernel (what a pre-arena file costs to load now);
-    * ``flat_s``  — the format-2 packed-segment codec with bulk splice.
-
-    Arena reps re-denote from a cold kernel first (untimed), so encode
+    Each rep re-denotes from a cold kernel first (untimed), so encode
     sees unmaterialised views — the state a real ``save()`` runs in."""
-    from repro.traces.snapshot import (
-        decode_roots,
-        decode_roots_legacy,
-        encode_roots,
-        encode_roots_legacy,
-    )
+    from repro.traces.snapshot import decode_roots, encode_roots
     from repro.traces.trie import arena_info, private_state
 
     names = [s.__name__.split(".")[-1] for s in systems]
-
-    def timed_arena(encode, decode) -> float:
-        best = float("inf")
-        for _ in range(3):
-            clear_interner()
-            reset_stats()
-            roots = _solve_roots(systems, depth, sample)
-            start = time.perf_counter()
-            blob = json.dumps(encode(roots))
-            with private_state():
-                decode(json.loads(blob))
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    clear_interner()
-    reset_stats()
-    roots = _solve_roots(systems, depth, sample)
-    info = arena_info()
-    obj_roots = _object_roots(roots, {})
-    object_s = float("inf")
+    flat_s = float("inf")
     for _ in range(3):
+        clear_interner()
+        reset_stats()
+        roots = _solve_roots(systems, depth, sample)
+        info = arena_info()
         start = time.perf_counter()
-        blob = json.dumps(_encode_roots_objects(obj_roots))
-        _decode_roots_objects(json.loads(blob), {})
-        object_s = min(object_s, time.perf_counter() - start)
-
-    legacy_s = timed_arena(encode_roots_legacy, decode_roots_legacy)
-    flat_s = timed_arena(encode_roots, decode_roots)
+        blob = json.dumps(encode_roots(roots))
+        with private_state():
+            decode_roots(json.loads(blob))
+        flat_s = min(flat_s, time.perf_counter() - start)
     case = {
         "case": f"snapshot round-trip {'+'.join(names)} depth={depth}",
         "systems": names,
         "nodes": info["nodes"],
         "edges": info["edges"],
         "roots": len(roots),
-        "object_s": round(object_s, 6),
-        "legacy_s": round(legacy_s, 6),
         "flat_s": round(flat_s, 6),
-        "speedup": round(legacy_s / flat_s, 2) if flat_s else float("inf"),
-        "speedup_vs_object": round(object_s / flat_s, 2)
-        if flat_s
-        else float("inf"),
+        "nodes_per_s": round(info["nodes"] / flat_s) if flat_s else float("inf"),
     }
     print(
-        f"{case['case']:<42} object {object_s * 1000:8.2f} ms   "
-        f"legacy {legacy_s * 1000:8.2f} ms   flat {flat_s * 1000:8.2f} ms   "
-        f"×{case['speedup']} (×{case['speedup_vs_object']} vs object)"
+        f"{case['case']:<42} flat {flat_s * 1000:8.2f} ms   "
+        f"{case['nodes_per_s']:>9} nodes/s"
     )
     return case
 
@@ -739,17 +571,18 @@ def _engine_cache_case(depth: int) -> dict:
 
 
 def _process_jobs_case(p: int, depth: int, sample: int) -> dict:
-    """Thread-pool vs process-pool wall clock on twin heavyweight state
-    machines — two independent definitions over disjoint channels, each
-    one strongly connected array SCC of ``p`` entries (the successor set
-    ``{i+1, i+98, i+195, i+292} mod p`` contains ``+1``, so every entry
-    reaches every other).  Both SCCs land at rank 0, one per worker.
+    """Sequential (``jobs=1``) vs forked (``jobs=2``) wall clock on twin
+    heavyweight state machines — two independent definitions over
+    disjoint channels, each one strongly connected array SCC of ``p``
+    entries (the successor set ``{i+1, i+98, i+195, i+292} mod p``
+    contains ``+1``, so every entry reaches every other).  Both SCCs
+    land at rank 0, one per forked worker.
 
-    Threads contend on the GIL for the pure-Python solve; processes
-    solve into private arenas and ship flat segments back, so the
-    speedup measures exactly what the splice path buys.  Roots are
-    asserted pointer-identical to a sequential solve before any timing
-    is recorded.
+    The forked children solve into private arenas and ship flat segments
+    back, so the speedup measures what fork + splice buys over solving
+    the two SCCs one after the other.  Roots are asserted
+    pointer-identical to a sequential solve before any timing is
+    recorded.
     """
     from repro.process.parser import parse_definitions
     from repro.semantics.engine import DenotationEngine
@@ -765,9 +598,7 @@ def _process_jobs_case(p: int, depth: int, sample: int) -> dict:
     cfg = SemanticsConfig(depth=depth, sample=sample)
 
     with private_state():
-        parallel_engine = DenotationEngine(
-            defs, None, cfg, jobs=2, parallel="processes"
-        )
+        parallel_engine = DenotationEngine(defs, None, cfg, jobs=2)
         parallel_engine.run()
         sequential = DenotationEngine(defs, None, cfg)
         sequential.run()
@@ -778,31 +609,27 @@ def _process_jobs_case(p: int, depth: int, sample: int) -> dict:
                     is sequential.closure_for(name, i).root
                 )
 
-    def timed(mode: str) -> float:
+    def timed(jobs: int) -> float:
         best = None
-        for _ in range(2):
+        for _ in range(3):
             with private_state():
                 start = time.perf_counter()
-                DenotationEngine(
-                    defs, None, cfg, jobs=2, parallel=mode
-                ).run()
+                DenotationEngine(defs, None, cfg, jobs=jobs).run()
                 elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         return best
 
-    thread_s = timed("threads")
-    process_s = timed("processes")
+    sequential_s = timed(1)
+    fork_s = timed(2)
     case = {
         "case": f"process-jobs twin-machines p={p} depth={depth}",
-        "thread_s": round(thread_s, 4),
-        "process_s": round(process_s, 4),
-        "speedup": round(thread_s / process_s, 2)
-        if process_s
-        else float("inf"),
+        "sequential_s": round(sequential_s, 4),
+        "fork_s": round(fork_s, 4),
+        "speedup": round(sequential_s / fork_s, 2) if fork_s else float("inf"),
     }
     print(
-        f"{case['case']:<42} threads {thread_s * 1000:8.1f} ms   "
-        f"processes {process_s * 1000:8.1f} ms   ×{case['speedup']}"
+        f"{case['case']:<42} jobs=1 {sequential_s * 1000:8.1f} ms   "
+        f"jobs=2 {fork_s * 1000:8.1f} ms   ×{case['speedup']}"
     )
     return case
 
@@ -834,8 +661,8 @@ def generate_engine(depths=(4, 5, 6)) -> dict:
             "Dependency-graph denotation engine vs. monolithic "
             "approximation chain: (entry, level) denotations performed "
             "(deterministic), cold-vs-warm snapshot-cache wall clock, "
-            "and thread-pool vs process-pool wall clock on twin "
-            "heavyweight same-rank SCCs"
+            "and sequential (jobs=1) vs forked (jobs=2) wall clock on "
+            "twin heavyweight same-rank SCCs, best of 3"
         ),
         "definition_level_cases": level_cases,
         "cache_cases": cache_cases,

@@ -21,12 +21,13 @@ Named message sets are declared with ``--set M=0,1``; the protocol's
 cancellation function is available as ``--with-cancel f``.
 
 ``traces``/``check``/``stats`` run on the dependency-graph denotation
-engine: ``--jobs N`` solves independent fixpoint components on worker
-threads (or worker *processes* with ``--parallel processes``, each
-solving into a private arena whose results are spliced back into the
-canonical store), and solved closures are snapshotted under
-``~/.cache/repro`` (override with ``--cache-dir``, disable with
-``--no-cache``) so repeated invocations on the same system warm-start.
+engine: ``--jobs N`` forks independent fixpoint components to worker
+processes, each solving into a private arena whose results are spliced
+back into the canonical store (sequential on hosts without ``fork``;
+verdicts are byte-identical either way), and solved closures are
+snapshotted under ``~/.cache/repro`` (override with ``--cache-dir``,
+disable with ``--no-cache``) so repeated invocations on the same system
+warm-start.
 ``--engine operational`` warm-starts too: the explorer persists its BFS
 frontier per completed level (``frontier:{name}@level{k}`` slots in the
 same snapshot file), so a second run resumes from the deepest sound
@@ -66,6 +67,7 @@ from repro.assertions.sequences import cancel_protocol
 from repro.errors import (
     EXIT_BUDGET,
     BudgetExceeded,
+    ParseError,
     ReproError,
     exit_code_for,
 )
@@ -96,7 +98,7 @@ def environment_from_options(
     for binding in sets or []:
         name, sep, values = binding.partition("=")
         if not sep:
-            raise SystemExit(f"--set expects NAME=v1,v2,…  got {binding!r}")
+            raise ParseError(f"--set expects NAME=v1,v2,…  got {binding!r}")
         env = env.bind(
             name.strip(), FiniteDomain(_parse_value(v) for v in values.split(","))
         )
@@ -160,12 +162,16 @@ def _load(args: argparse.Namespace):
     return parse_definitions(source)
 
 
-def _target(args: argparse.Namespace, defs) -> Name:
-    name = args.process
+def process_target(defs, name: Optional[str]) -> Name:
+    """The ``--process`` target (default: the last equation, e.g. the
+    network) — shared with :mod:`repro.server.worker` so an unknown name
+    fails with the same error line locally and under ``serve``."""
     if name is None:
-        name = list(defs)[-1].name  # the last equation, e.g. the network
+        name = list(defs)[-1].name
     if name not in defs:
-        raise SystemExit(f"no process named {name!r}; defined: {sorted(defs.names())}")
+        raise ParseError(
+            f"no process named {name!r}; defined: {sorted(defs.names())}"
+        )
     return Name(name)
 
 
@@ -214,7 +220,6 @@ def _remote(args: argparse.Namespace, op: str) -> int:
         with_cancel=args.with_cancel,
         engine=args.engine,
         jobs=args.jobs,
-        parallel=args.parallel,
         budget=budget,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
@@ -243,15 +248,9 @@ def cmd_traces(args: argparse.Namespace) -> int:
     config = SemanticsConfig(depth=args.depth, sample=args.sample)
     cache = _open_cache(args, defs, config)
     checker = SatChecker(
-        defs,
-        env,
-        config,
-        engine=args.engine,
-        jobs=args.jobs,
-        parallel=args.parallel,
-        cache=cache,
+        defs, env, config, engine=args.engine, jobs=args.jobs, cache=cache
     )
-    result = checker.traces_partial(_target(args, defs))
+    result = checker.traces_partial(process_target(defs, args.process))
     if cache is not None:
         cache.save()
     return _emit(*traces_outcome(result, args.depth, args.engine))
@@ -269,15 +268,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     config = SemanticsConfig(depth=args.depth, sample=args.sample)
     cache = _open_cache(args, defs, config)
     checker = SatChecker(
-        defs,
-        env,
-        config,
-        engine=args.engine,
-        jobs=args.jobs,
-        parallel=args.parallel,
-        cache=cache,
+        defs, env, config, engine=args.engine, jobs=args.jobs, cache=cache
     )
-    target = _target(args, defs)
+    target = process_target(defs, args.process)
     # A repeated --spec is a batch: every assertion runs against the
     # same warm solved system, and the rendering rules (newline-joined
     # non-empty outputs, first non-zero exit code, a budget trip ends
@@ -315,27 +308,16 @@ def cmd_stats(args: argparse.Namespace) -> int:
     config = SemanticsConfig(depth=args.depth, sample=args.sample)
     cache = _open_cache(args, defs, config)
     checker = SatChecker(
-        defs,
-        env,
-        config,
-        engine=args.engine,
-        jobs=args.jobs,
-        parallel=args.parallel,
-        cache=cache,
+        defs, env, config, engine=args.engine, jobs=args.jobs, cache=cache
     )
-    target = _target(args, defs)
+    target = process_target(defs, args.process)
     code = 0
     try:
         if args.explain_plan:
             from repro.semantics.engine import DenotationEngine
 
             engine = DenotationEngine(
-                defs,
-                env,
-                config,
-                jobs=args.jobs,
-                parallel=args.parallel,
-                cache=cache,
+                defs, env, config, jobs=args.jobs, cache=cache
             )
             print(engine.explain())
         elif args.spec:
@@ -388,7 +370,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     for spec in args.invariant or []:
         head, _, formula_text = spec.partition("=")
         if not _:
-            raise SystemExit(f"--invariant expects NAME=FORMULA, got {spec!r}")
+            raise ParseError(f"--invariant expects NAME=FORMULA, got {spec!r}")
         head = head.strip()
         formula = parse_assertion(formula_text.strip(), all_channels)
         if ":" in head:
@@ -428,7 +410,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     env = _build_env(args)
     semantics = OperationalSemantics(defs, env, sample=args.sample)
     run = simulate(
-        _target(args, defs),
+        process_target(defs, args.process),
         semantics,
         max_steps=args.steps,
         scheduler=RandomScheduler(seed=args.seed),
@@ -450,7 +432,9 @@ def cmd_deadlocks(args: argparse.Namespace) -> int:
     env = _build_env(args)
     semantics = OperationalSemantics(defs, env, sample=args.sample)
     try:
-        report = Explorer(semantics).deadlock_report(_target(args, defs), args.depth)
+        report = Explorer(semantics).deadlock_report(
+            process_target(defs, args.process), args.depth
+        )
     except BudgetExceeded as exc:
         checkpoint = exc.checkpoint
         payload = (
@@ -488,7 +472,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     supervisor = Supervisor(
         args.socket,
         jobs=args.jobs,
-        parallel=args.parallel,
         queue_limit=args.queue_limit,
         request_timeout=args.request_timeout,
         grace=args.grace,
@@ -572,15 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=1,
                 metavar="N",
-                help="workers for independent fixpoint components",
-            )
-            p.add_argument(
-                "--parallel",
-                choices=("threads", "processes"),
-                default="threads",
-                help="worker flavour for --jobs: threads share the "
-                "canonical arena; processes solve into private arenas "
-                "whose packed segments are spliced back (default threads)",
+                help="forked worker processes for independent fixpoint "
+                "components (sequential where fork is unavailable)",
             )
             p.add_argument(
                 "--cache-dir",
@@ -678,13 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2,
         metavar="N",
         help="worker processes, each holding a warm kernel (default 2)",
-    )
-    p.add_argument(
-        "--parallel",
-        choices=("threads", "processes"),
-        default="threads",
-        help="default engine worker flavour inside each serve worker "
-        "for requests that do not name one (default threads)",
     )
     p.add_argument(
         "--queue-limit",

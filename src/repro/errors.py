@@ -7,6 +7,8 @@ mistakes such as :class:`TypeError` from their own code.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class of all errors raised by the repro library."""
@@ -70,12 +72,18 @@ class DomainError(EvaluationError):
 
 
 class ParseError(ReproError):
-    """The process- or assertion-notation parser rejected its input."""
+    """The process- or assertion-notation parser rejected its input, or
+    a command-line option was malformed (no ``position`` then)."""
 
-    def __init__(self, message: str, position: int, text: str) -> None:
-        line = text.count("\n", 0, position) + 1
-        col = position - (text.rfind("\n", 0, position) + 1) + 1
-        super().__init__(f"{message} at line {line}, column {col}")
+    def __init__(
+        self, message: str, position: Optional[int] = None, text: str = ""
+    ) -> None:
+        line = col = None
+        if position is not None:
+            line = text.count("\n", 0, position) + 1
+            col = position - (text.rfind("\n", 0, position) + 1) + 1
+            message = f"{message} at line {line}, column {col}"
+        super().__init__(message)
         self.position = position
         self.line = line
         self.column = col

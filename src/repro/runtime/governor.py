@@ -373,13 +373,10 @@ class Governor:
 # ambient governor
 # ---------------------------------------------------------------------------
 
-# Deliberately a plain module global, *not* a thread-local: the
-# denotation engine's worker threads (``DenotationEngine(jobs=N)``) must
-# count nodes against — and be tripped by — the same budget as the
-# thread that activated it.  Unsynchronised counter increments can race,
-# but a race only *under*-counts slightly (budgets are resource limits,
-# not exact quotas), and a budget trip observed in any worker thread is
-# sound: it propagates to the parent as the original BudgetExceeded.
+# A plain module global: forked denotation-engine children
+# (``DenotationEngine(jobs=N)``) inherit it by copy, so they trip at the
+# same global thresholds as the parent and report their node deltas
+# back for the parent to charge.
 _ACTIVE: Optional[Governor] = None
 
 
@@ -396,9 +393,9 @@ def activate(governor: Optional[Governor]) -> Iterator[Optional[Governor]]:
     governor without branching.  Nesting replaces the outer governor for
     the inner region and restores it afterwards.
 
-    The installed governor is visible to *all* threads, including engine
-    worker threads spawned inside the ``with`` body — that sharing is
-    what makes budget trips sound under ``--jobs > 1``.
+    The installed governor is process-global: forked engine children
+    inherit it (counters and clock) by copy, which is what makes budget
+    trips sound under ``--jobs > 1``.
     """
     global _ACTIVE
     if governor is None:
@@ -420,8 +417,8 @@ def suspended() -> Iterator[None]:
     it is saving: a governed run that already tripped still writes its
     checkpoint slots, and merging another process's slots into the file
     re-interns nodes that must not trip the (already spent) budget.
-    Like :func:`activate`, the change is visible to all threads — only
-    suspend around regions that spawn no governed workers.
+    Like :func:`activate`, the change is process-global — only suspend
+    around regions that fork no governed workers.
     """
     global _ACTIVE
     previous = _ACTIVE

@@ -110,7 +110,6 @@ class SatChecker:
         engine: str = "denotational",
         trie_walk: bool = True,
         jobs: int = 1,
-        parallel: str = "threads",
         cache: Optional[SnapshotCache] = None,
     ) -> None:
         if engine not in ("denotational", "operational"):
@@ -122,10 +121,6 @@ class SatChecker:
         self.engine = engine
         self.trie_walk = trie_walk
         self.jobs = jobs
-        #: Worker flavour for the denotation engine with ``jobs > 1`` —
-        #: ``"threads"`` (default) or ``"processes"`` (GIL-free SCC
-        #: solving, results spliced back as flat segments).
-        self.parallel = parallel
         self.cache = cache
         #: solve_depth → engine bindings (or _INELIGIBLE when solving the
         #: system failed and the checker fell back to pure unfolding).
@@ -277,12 +272,7 @@ class SatChecker:
                 # hide-depth roots.
                 cache = None
             engine = DenotationEngine(
-                self.definitions,
-                self.env,
-                solve_config,
-                jobs=self.jobs,
-                parallel=self.parallel,
-                cache=cache,
+                self.definitions, self.env, solve_config, jobs=self.jobs, cache=cache
             )
             try:
                 self._engine_supply[solve_depth] = engine.bindings(fallback=True)

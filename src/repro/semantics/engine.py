@@ -19,30 +19,23 @@ fixpoint.  :class:`DenotationEngine` exploits that:
    level *i* (an entry whose inputs are unchanged is already at its
    level-(i+1) value — denotation is a function of the bindings).
 3. **Parallelise** — SCCs of equal topological rank share no dependency
-   path, so with ``jobs > 1`` they are solved concurrently by worker
-   *threads* (the default), each against a private kernel state
-   (:func:`~repro.traces.trie.private_state`); the main thread then
-   re-interns their roots in plan order.  Interning is idempotent on
-   structural keys, so the merge is deterministic and the final roots
-   are pointer-identical to a sequential run.  Threads keep
-   environments with host functions usable and let every worker share
-   the ambient :class:`~repro.runtime.governor.Governor`, so budgets
-   and deadlines stay sound across workers and a worker's
-   :class:`~repro.errors.ReproError` propagates to the caller as
-   itself, not a pickled pool failure.  With ``parallel="processes"``
-   the same work units are instead forked to worker *processes* that
-   escape the GIL entirely: each child solves into its private arena,
-   ships its roots back over a pipe as flat format-2 segments
+   path, so with ``jobs > 1`` they are forked to worker *processes*
+   that escape the GIL: each child solves into a private arena
+   (:func:`~repro.traces.trie.private_state`), ships its roots back
+   over a pipe as flat format-2 segments
    (:func:`~repro.traces.snapshot.export_segments`), and the parent
    splices them into the canonical arena in plan order
    (:func:`~repro.traces.snapshot.splice_segments` →
    :meth:`~repro.traces.trie.Arena.append_rows`), charging each unit's
    reported node delta to the ambient governor *before* the splice so
-   budget trips stay sound.  Forked children inherit the environment
-   (host functions included) and the governor's clock by copy, so
-   deadlines and limits trip at the same global thresholds; a child's
-   error is reconstructed in the parent by kind, and a child that dies
-   without a payload degrades to solving its units in-process.
+   budget trips stay sound.  Interning is idempotent on structural
+   keys, so the final roots are pointer-identical to a sequential run.
+   Forked children inherit the environment (host functions included)
+   and the governor's clock by copy, so deadlines and limits trip at
+   the same global thresholds; a child's :class:`~repro.errors.ReproError`
+   is rebuilt in the parent as the same class, and a child that dies
+   without a payload degrades to solving its units in-process.  Hosts
+   without ``os.fork`` solve sequentially.
 4. **Cache** — with a :class:`~repro.traces.snapshot.SnapshotCache`
    attached, solved roots are recorded per entry and whole SCCs whose
    members are all cached are skipped entirely on the next run.
@@ -56,15 +49,10 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro.errors import (
-    BudgetExceeded,
-    KernelStateError,
-    ReproError,
-    SemanticsError,
-)
+from repro import errors as _errors
+from repro.errors import BudgetExceeded, ReproError, SemanticsError
 from repro.process.analysis import (
     EntryKey,
     Scc,
@@ -158,8 +146,8 @@ class DenotationEngine:
     :class:`~repro.semantics.fixpoint.ApproximationChain` —
     :meth:`fixpoint` / :meth:`closure_for` return closures whose roots
     are pointer-identical to the chain's — with SCC scheduling, delta
-    iteration, optional worker threads (``jobs``), and an optional
-    persisted snapshot cache (``cache``).
+    iteration, optional forked worker processes (``jobs``), and an
+    optional persisted snapshot cache (``cache``).
     """
 
     def __init__(
@@ -169,20 +157,13 @@ class DenotationEngine:
         config: SemanticsConfig = DEFAULT_CONFIG,
         kernel: str = "trie",
         jobs: int = 1,
-        parallel: str = "threads",
         cache: Optional[SnapshotCache] = None,
     ) -> None:
-        if parallel not in ("threads", "processes"):
-            raise ValueError(
-                f"unknown parallel mode {parallel!r} "
-                f"(expected 'threads' or 'processes')"
-            )
         self.definitions = definitions
         self.env = env if env is not None else Environment()
         self.config = config
         self.kernel = kernel
         self.jobs = max(1, int(jobs))
-        self.parallel = parallel
         self.cache = cache
         #: Internal solve depth — mirrors
         #: :class:`~repro.semantics.fixpoint.ApproximationChain`: ``chan``
@@ -276,15 +257,11 @@ class DenotationEngine:
             cached = self._from_cache(self._sccs[i], rank)
             if not cached:
                 pending.append(i)
-        if self.jobs > 1 and len(pending) > 1:
-            if self.parallel == "processes" and hasattr(os, "fork"):
-                self._solve_processes(rank, pending)
-            else:
-                self._solve_parallel(rank, pending)
+        if self.jobs > 1 and len(pending) > 1 and hasattr(os, "fork"):
+            self._solve_processes(rank, pending)
         else:
             for i in pending:
-                solution, report = self._solve_scc(self._sccs[i], rank)
-                self._merge(solution, report, reintern_roots=False)
+                self._merge(*self._solve_scc(self._sccs[i], rank))
         if governor is not None:
             self._record_progress(governor)
 
@@ -312,50 +289,6 @@ class DenotationEngine:
         )
         return True
 
-    def _solve_parallel(self, rank: int, indices: List[int]) -> None:
-        """Solve independent same-rank SCCs on worker threads.
-
-        Each worker interns into a private kernel state; the main thread
-        re-interns results in plan order, so the canonical interner sees
-        the same insertion sequence regardless of worker timing.  Arena
-        node ids are state-local, so each worker first carries the
-        already-solved dependencies into its private arena with
-        :func:`~repro.traces.trie.reintern` (``self._resolved`` is frozen
-        while a rank is in flight — only the main thread writes it,
-        between ranks).  The governor is ambient process state shared by
-        all threads: node budgets count globally (increment races can
-        only under-count by a handful — budgets are resource limits, not
-        exact quotas) and a trip in any worker surfaces here as the
-        original exception.
-        """
-
-        def solve(index: int):
-            with private_state():
-                resolved = {
-                    entry: FiniteClosure.from_node(reintern(closure.root))
-                    for entry, closure in self._resolved.items()
-                }
-                return self._solve_scc(self._sccs[index], rank, resolved)
-
-        with ThreadPoolExecutor(max_workers=min(self.jobs, len(indices))) as pool:
-            futures = [pool.submit(solve, i) for i in indices]
-        # Pool exit joins all workers; collect in plan order so the first
-        # plan-order failure (not the first temporal one) is reported,
-        # keeping error output deterministic.
-        outcomes = []
-        first_error: Optional[BaseException] = None
-        for future in futures:
-            error = future.exception()
-            if error is not None:
-                if first_error is None:
-                    first_error = error
-            else:
-                outcomes.append(future.result())
-        if first_error is not None:
-            raise first_error
-        for solution, report in outcomes:
-            self._merge(solution, report, reintern_roots=True)
-
     def _solve_processes(self, rank: int, indices: List[int]) -> None:
         """Solve independent same-rank SCCs in forked worker processes.
 
@@ -374,9 +307,9 @@ class DenotationEngine:
         pointer-identical to a sequential run.
 
         A child that reports an error stops the merge: the parent
-        re-raises the plan-order-first failure rebuilt by kind (budget
-        trips arrive with their checkpoint and mark the parent governor
-        exhausted).  A child that dies without a parseable payload —
+        re-raises the plan-order-first failure rebuilt as the child's
+        class (budget trips arrive with their checkpoint and mark the
+        parent governor exhausted).  A child that dies without a parseable payload —
         crash, ``os._exit`` mid-write, injected fault in the write path
         — is not fatal: its units are re-solved in-process at their
         plan-order slots, sound because nothing from the torn payload
@@ -460,16 +393,14 @@ class DenotationEngine:
                 except SnapshotError:
                     unit = None  # torn segments: re-solve in-process
             if unit is None:
-                solution, report = self._solve_scc(self._sccs[index], rank)
-                self._merge(solution, report, reintern_roots=False)
+                self._merge(*self._solve_scc(self._sccs[index], rank))
                 continue
             by_pretty = {e.pretty(): e for e in self._sccs[index].entries}
             solution = {
                 by_pretty[slot]: FiniteClosure.from_node(node)
                 for slot, node in decoded.items()
             }
-            report = _report_from_wire(unit["report"])
-            self._merge(solution, report, reintern_roots=False)
+            self._merge(solution, _report_from_wire(unit["report"]))
 
     def _child_run(self, indices: List[int], rank: int, fd: int) -> None:
         """Worker-process body: solve ``indices`` in order, write one
@@ -536,15 +467,9 @@ class DenotationEngine:
         os.close(fd)
 
     def _merge(
-        self,
-        solution: Dict[EntryKey, FiniteClosure],
-        report: SccReport,
-        reintern_roots: bool,
+        self, solution: Dict[EntryKey, FiniteClosure], report: SccReport
     ) -> None:
-        for entry, closure in solution.items():
-            if reintern_roots:
-                closure = FiniteClosure.from_node(reintern(closure.root))
-            self._resolved[entry] = closure
+        self._resolved.update(solution)
         self.reports.append(report)
         self.redenoted_entries += report.redenoted
         self.delta_skipped += report.skipped
@@ -720,9 +645,9 @@ class DenotationEngine:
         plan says is unreachable from here.
 
         ``resolved`` overrides ``self._resolved`` as the solved-entry
-        source — worker threads pass their privately re-interned copies,
-        since ambient arena node ids must not cross into a worker's
-        kernel state.
+        source — forked children pass their privately re-interned
+        copies, since ambient arena node ids must not cross into a
+        child's private kernel state.
 
         With ``fallback=True`` (served bindings for a
         :class:`~repro.sat.checker.SatChecker`, never during solving) an
@@ -882,8 +807,7 @@ class DenotationEngine:
             f"engine plan: {len(self._entries)} entries, "
             f"{len(self._sccs)} SCCs, "
             f"{(max(self._ranks) + 1) if self._ranks else 0} ranks, "
-            f"jobs={self.jobs}"
-            + (f" ({self.parallel})" if self.jobs > 1 else ""),
+            f"jobs={self.jobs}",
         ]
         for report in sorted(self.reports, key=lambda r: r.rank):
             label = " ".join(report.entries)
@@ -946,11 +870,12 @@ def _slot(entry: EntryKey) -> str:
 #
 # The child payload is JSON: segment roots travel as format-2 base64
 # fields (already JSON-shaped), reports and errors as small structured
-# dicts.  Errors are rebuilt *by kind* so the parent raises the same
-# exception class the child did — a budget trip arrives with its
+# dicts.  Errors are rebuilt *by class name* so the parent raises the
+# same exception class the child did — a budget trip arrives with its
 # checkpoint, an injected fault stays a FaultInjected (never swallowed
-# into the ReproError hierarchy), and anything unrecognised degrades to
-# a ReproError carrying the child's message.
+# into the ReproError hierarchy), any other :mod:`repro.errors` class
+# comes back with its message and scalar attributes, and anything else
+# degrades to a ReproError carrying the child's message.
 
 
 def _report_wire(report: SccReport) -> dict:
@@ -1017,11 +942,17 @@ def _error_wire(exc: BaseException, index: int) -> dict:
     elif isinstance(exc, FaultInjected):
         wire["site"] = exc.site
         wire["visit"] = exc.visit
+    else:
+        wire["attrs"] = {
+            key: value
+            for key, value in vars(exc).items()
+            if isinstance(value, (str, int, float, bool, type(None)))
+        }
     return wire
 
 
 def _error_from_wire(wire: dict) -> BaseException:
-    kind = wire.get("kind")
+    kind = str(wire.get("kind"))
     message = str(wire.get("message", "worker process failed"))
     if kind == "BudgetExceeded":
         return BudgetExceeded(
@@ -1031,11 +962,16 @@ def _error_from_wire(wire: dict) -> BaseException:
         )
     if kind == "FaultInjected":
         return FaultInjected(str(wire.get("site", "?")), int(wire.get("visit", 0)))
-    if kind == "KernelStateError":
-        return KernelStateError(message)
-    if kind == "SemanticsError":
-        return SemanticsError(message)
-    return ReproError(message)
+    cls = getattr(_errors, kind, None)
+    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
+        return ReproError(message)
+    # Constructors differ per class (UnboundVariableError formats its
+    # own message, ParseError wants a position), so rebuild without
+    # calling __init__: same class, same message, same scalar fields.
+    exc = cls.__new__(cls)
+    exc.args = (message,)
+    exc.__dict__.update(wire.get("attrs") or {})
+    return exc
 
 
 def engine_denotation(
@@ -1045,13 +981,10 @@ def engine_denotation(
     env: Optional[Environment] = None,
     config: SemanticsConfig = DEFAULT_CONFIG,
     jobs: int = 1,
-    parallel: str = "threads",
     cache: Optional[SnapshotCache] = None,
 ) -> FiniteClosure:
     """Denote ``name`` (or ``name[subscript]``) via the dependency-graph
     engine — the engine-backed counterpart of
     :func:`~repro.semantics.fixpoint.fixpoint_denotation`."""
-    engine = DenotationEngine(
-        definitions, env, config, jobs=jobs, parallel=parallel, cache=cache
-    )
+    engine = DenotationEngine(definitions, env, config, jobs=jobs, cache=cache)
     return engine.closure_for(name, subscript)

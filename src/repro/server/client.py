@@ -167,7 +167,6 @@ class ServerClient:
         with_cancel: Optional[str] = None,
         engine: str = "denotational",
         jobs: int = 1,
-        parallel: str = "threads",
         budget: Optional[Budget] = None,
         cache_dir: Optional[str] = None,
         no_cache: bool = False,
@@ -187,7 +186,6 @@ class ServerClient:
                 with_cancel=with_cancel,
                 engine=engine,
                 jobs=jobs,
-                parallel=parallel,
                 budget=budget,
                 cache_dir=cache_dir,
                 no_cache=no_cache,
@@ -204,7 +202,6 @@ class ServerClient:
         with_cancel: Optional[str] = None,
         engine: str = "denotational",
         jobs: int = 1,
-        parallel: str = "threads",
         budget: Optional[Budget] = None,
         cache_dir: Optional[str] = None,
         no_cache: bool = False,
@@ -220,7 +217,6 @@ class ServerClient:
                 with_cancel=with_cancel,
                 engine=engine,
                 jobs=jobs,
-                parallel=parallel,
                 budget=budget,
                 cache_dir=cache_dir,
                 no_cache=no_cache,

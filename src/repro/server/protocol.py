@@ -16,7 +16,7 @@ A *request* carries::
      "spec": <assertion, list of assertions, or null>,
      "depth": N, "sample": N, "sets": [...], "with_cancel": <name|null>,
      "engine": "denotational"|"operational",
-     "jobs": N, "parallel": "threads"|"processes",
+     "jobs": N,
      "budget": {"deadline": s, "max_nodes": n, "max_states": n} | null,
      "cache_dir": <path|null>, "no_cache": bool}
 
@@ -96,7 +96,6 @@ def query(
     with_cancel: Optional[str] = None,
     engine: str = "denotational",
     jobs: int = 1,
-    parallel: str = "threads",
     budget: Optional[Budget] = None,
     cache_dir: Optional[str] = None,
     no_cache: bool = False,
@@ -120,7 +119,6 @@ def query(
         "with_cancel": with_cancel,
         "engine": engine,
         "jobs": int(jobs),
-        "parallel": parallel,
         "no_cache": bool(no_cache),
     }
     if budget is not None:

@@ -120,7 +120,6 @@ class Supervisor:
         max_attempts: int = 3,
         max_requests: Optional[int] = None,
         inject: Optional[str] = None,
-        parallel: str = "threads",
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -128,8 +127,6 @@ class Supervisor:
             raise ValueError("queue_limit must be >= 0")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if parallel not in ("threads", "processes"):
-            raise ValueError(f"unknown parallel mode {parallel!r}")
         if inject is not None:
             _faults.parse_plan(inject)  # validate eagerly, fail at startup
         self.socket_path = str(socket_path)
@@ -140,7 +137,6 @@ class Supervisor:
         self.max_attempts = max_attempts
         self.max_requests = max_requests
         self.inject = inject
-        self.parallel = parallel
 
         self._listener: Optional[socket.socket] = None
         self._idle: "queue.Queue[WorkerHandle]" = queue.Queue()
@@ -264,8 +260,6 @@ class Supervisor:
             "repro.server.worker",
             "--fd",
             str(child.fileno()),
-            "--parallel",
-            self.parallel,
         ]
         if inject:
             command += ["--inject", inject]

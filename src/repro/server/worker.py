@@ -36,12 +36,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro import serialize
-from repro.errors import (
-    EXIT_PARSE,
-    BudgetExceeded,
-    ServerError,
-    exit_code_for,
-)
+from repro.errors import BudgetExceeded, ServerError, exit_code_for
 from repro.process.definitions import DefinitionList
 from repro.runtime import faults as _faults
 from repro.runtime.faults import FaultInjected
@@ -67,17 +62,13 @@ _WARM_ROOTS: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 #: consumer's own validation, exactly like blobs read from disk.
 _WARM_BLOBS: "OrderedDict[str, Dict[str, dict]]" = OrderedDict()
 
-#: Engine-parallel mode applied when a request does not carry one
-#: (``repro serve --parallel processes`` sets it pool-wide).
-_DEFAULT_PARALLEL = "threads"
-
 
 def _situation_key(request: Dict[str, Any]) -> str:
     """One string per semantic situation a checker can be reused for.
 
     Built from the *raw* request fields only, so the supervisor (which
     routes shared solved-system roots by this key) computes the identical
-    key without knowing the worker's defaults."""
+    key."""
     import json
 
     return json.dumps(
@@ -89,7 +80,6 @@ def _situation_key(request: Dict[str, Any]) -> str:
             request.get("with_cancel"),
             request.get("engine", "denotational"),
             request.get("jobs", 1),
-            request.get("parallel"),
             request.get("cache_dir"),
             bool(request.get("no_cache")),
         ],
@@ -258,7 +248,6 @@ def _checker_for(request: Dict[str, Any], defs: Any, governed: bool):
         config,
         engine=request.get("engine", "denotational"),
         jobs=int(request.get("jobs") or 1),
-        parallel=request.get("parallel") or _DEFAULT_PARALLEL,
         cache=cache,
     )
     if key is not None:
@@ -271,7 +260,7 @@ def _checker_for(request: Dict[str, Any], defs: Any, governed: bool):
 def run_query(request: Dict[str, Any]) -> Dict[str, Any]:
     """Execute one ``check``/``traces`` request and render its response
     exactly as the local CLI would."""
-    from repro.process.ast import Name
+    from repro.cli import process_target
     from repro.report import check_outcome, traces_outcome
 
     rid = request.get("id")
@@ -283,14 +272,8 @@ def run_query(request: Dict[str, Any]) -> Dict[str, Any]:
     defs = serialize.decode(request["definitions"])
     if not isinstance(defs, DefinitionList):
         raise ServerError("definitions payload is not a definition list")
-    name = request.get("process") or list(defs)[-1].name
-    if name not in defs:
-        return protocol.error_response(
-            rid,
-            EXIT_PARSE,
-            f"no process named {name!r}; defined: {sorted(defs.names())}",
-        )
-    target = Name(name)
+    target = process_target(defs, request.get("process") or None)
+    name = target.name
     budget = Budget.from_spec(request.get("budget"))
     governor = budget.start() if budget is not None else None
     resume_slots: Tuple[str, ...] = ()
@@ -488,15 +471,7 @@ def main(argv: Optional[list] = None) -> int:
         metavar="SITE[:AFTER]",
         help="arm a deterministic fault plan in this worker (chaos tests)",
     )
-    parser.add_argument(
-        "--parallel",
-        choices=("threads", "processes"),
-        default="threads",
-        help="engine-parallel mode for requests that carry none",
-    )
     args = parser.parse_args(argv)
-    global _DEFAULT_PARALLEL
-    _DEFAULT_PARALLEL = args.parallel
     sock = socket.socket(fileno=args.fd)
     if args.inject:
         with _faults.inject(_faults.parse_plan(args.inject)):

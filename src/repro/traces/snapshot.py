@@ -33,12 +33,6 @@ A snapshot is trusted only as a cache, never as truth:
   snapshot and rebuilds from scratch (``SnapshotCache.rebuilt`` reports
   that this happened).
 
-Format 1 (the object-walk node-list layout of earlier releases) is still
-*read*: the cache key deliberately hashes :data:`KEY_VERSION`, not the
-file format, so a pre-arena snapshot keeps its filename and is loaded
-through the retained legacy codec, then rewritten in format
-:data:`FORMAT_VERSION` on the next save.
-
 Writes are atomic and *durable* (temp file + ``fsync`` + ``os.replace``)
 and failures to persist are swallowed: a read-only cache directory
 degrades to cold starts, it never breaks the run.  Three more properties
@@ -74,7 +68,7 @@ from repro.errors import ReproError
 from repro.runtime import faults as _faults
 from repro.runtime import governor as _governor
 from repro.traces.events import Event
-from repro.traces.trie import ClosureNode, current_state, make_node, node_id
+from repro.traces.trie import ClosureNode, current_state, node_id
 
 try:  # POSIX cross-process advisory locking; absent → single-writer hosts
     import fcntl
@@ -86,14 +80,15 @@ try:  # optional accelerator: vectorised validation + bulk decode
 except ImportError:  # pragma: no cover - numpy ships with the toolchain
     _np = None
 
-#: On-disk layout version.  2 = flat arena segments; 1 = legacy
-#: nested node list (read-only).
+#: On-disk layout version: flat arena segments.  Any other format
+#: (including the pre-arena format 1) is quarantined and rebuilt.
 FORMAT_VERSION = 2
 
 #: Cache-*key* schema version, hashed into :func:`cache_key`.  Kept
-#: separate from :data:`FORMAT_VERSION` so a pure layout change does not
-#: orphan existing snapshot files — bump it only when the *meaning* of a
-#: slot's content changes.  Version 2: chan-bearing definition lists are
+#: separate from :data:`FORMAT_VERSION`: a layout change keeps the file
+#: name and the old file is simply quarantined and rebuilt on load —
+#: bump this only when the *meaning* of a slot's content changes.
+#: Version 2: chan-bearing definition lists are
 #: solved at ``hide_depth`` and truncated on export, so ``fix:`` slots
 #: for such systems now hold deeper roots than version-1 writers stored.
 KEY_VERSION = 2
@@ -530,87 +525,6 @@ def splice_segments(payload: dict) -> Dict[str, ClosureNode]:
         return decode_roots(payload)
 
 
-# ---------------------------------------------------------------------------
-# legacy format-1 codec (read path only)
-# ---------------------------------------------------------------------------
-
-
-def encode_roots_legacy(roots: Dict[str, ClosureNode]) -> dict:
-    """The format-1 object-walk encoder — kept for the legacy round-trip
-    tests and the snapshot codec benchmark; :meth:`SnapshotCache.save`
-    always writes format 2."""
-    events: List[Event] = []
-    event_index: Dict[Event, int] = {}
-    nodes: List[List[List[int]]] = []
-    node_index: Dict[int, int] = {}
-
-    def event_id(event: Event) -> int:
-        idx = event_index.get(event)
-        if idx is None:
-            idx = event_index[event] = len(events)
-            events.append(event)
-        return idx
-
-    for root in roots.values():
-        if id(root) in node_index:
-            continue
-        stack: List[Tuple[ClosureNode, bool]] = [(root, False)]
-        while stack:
-            current, expanded = stack.pop()
-            if id(current) in node_index:
-                continue
-            if expanded:
-                node_index[id(current)] = len(nodes)
-                nodes.append(
-                    [
-                        [event_id(event), node_index[id(child)]]
-                        for event, child in current.items
-                    ]
-                )
-                continue
-            stack.append((current, True))
-            for _, child in current.items:
-                if id(child) not in node_index:
-                    stack.append((child, False))
-
-    return {
-        "events": [serialize.encode(e) for e in events],
-        "nodes": nodes,
-        "roots": {slot: node_index[id(root)] for slot, root in roots.items()},
-    }
-
-
-def decode_roots_legacy(data: dict) -> Dict[str, ClosureNode]:
-    """Decode a format-1 payload (nested node list), re-interning every
-    node — pre-arena snapshots stay loadable under the same cache key."""
-    try:
-        events = [serialize.decode(e) for e in data["events"]]
-        if not all(isinstance(e, Event) for e in events):
-            raise SnapshotError("event table holds a non-event")
-        decoded: List[ClosureNode] = []
-        for entry in data["nodes"]:
-            children = {}
-            for event_idx, child_idx in entry:
-                if not 0 <= child_idx < len(decoded):
-                    raise SnapshotError(
-                        f"child index {child_idx} breaks post-order"
-                    )
-                children[events[event_idx]] = decoded[child_idx]
-            decoded.append(make_node(children))
-        roots: Dict[str, ClosureNode] = {}
-        for slot, idx in data["roots"].items():
-            if not isinstance(slot, str) or not 0 <= idx < len(decoded):
-                raise SnapshotError(f"bad root entry {slot!r}: {idx!r}")
-            roots[slot] = decoded[idx]
-        return roots
-    except SnapshotError:
-        raise
-    except (serialize.SerializationError, ReproError) as exc:
-        raise SnapshotError(f"undecodable snapshot payload: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise SnapshotError(f"malformed snapshot payload: {exc!r}") from exc
-
-
 def cache_key(definitions: Any, config: Any, extra: Any = None) -> str:
     """Content hash identifying one semantic situation.
 
@@ -619,9 +533,7 @@ def cache_key(definitions: Any, config: Any, extra: Any = None) -> str:
     hide-depth), and caller-provided extras (environment ``--set``
     bindings, protocol flags).  Hash collisions aside, equal keys imply
     equal denotations — the invariant the cache relies on.  The hashed
-    version is :data:`KEY_VERSION`, not the file layout version, so
-    re-encoding the same content in a newer layout keeps the key (and
-    the legacy fallback reachable).
+    version is :data:`KEY_VERSION`, not the file layout version.
     """
     payload = {
         "version": KEY_VERSION,
@@ -747,14 +659,9 @@ class SnapshotCache:
         if data.get("key") != self.key:
             raise SnapshotError("key mismatch")
         fmt = data.get("format")
-        if fmt == FORMAT_VERSION:
-            return decode_roots(data), _decode_blobs(data.get("blobs"))
-        if fmt == 1:
-            # Pre-arena snapshot under the same content key: load it
-            # through the legacy codec; the next save rewrites flat.
-            # Format 1 predates blobs.
-            return decode_roots_legacy(data), {}
-        raise SnapshotError(f"format {fmt!r}")
+        if fmt != FORMAT_VERSION:
+            raise SnapshotError(f"format {fmt!r}")
+        return decode_roots(data), _decode_blobs(data.get("blobs"))
 
     def _quarantine(self) -> None:
         """Move the defective file to ``<cache>/quarantine/`` — rebuilt,

@@ -29,10 +29,11 @@ kernel keeps working unchanged.  Views are canonical per id —
 of views coincides with id equality.
 
 Arena, interner, and memo tables live in a :class:`KernelState`.  There
-is one global state; worker threads of the denotation engine swap in a
-private state via :func:`private_state` so concurrent interning needs no
-locks, then the main thread canonicalises their roots with
-:func:`reintern`, which remaps both node ids and event ids.  **Arena ids
+is one global state; a forked denotation-engine child swaps in a
+private state via :func:`private_state` and carries its solved
+dependencies over with :func:`reintern`, which remaps both node ids and
+event ids.  The override is thread-local, so library callers may run
+kernels on their own threads the same way.  **Arena ids
 are state-local**: using a view from one state inside another raises
 :class:`~repro.errors.KernelStateError` rather than silently aliasing —
 see :func:`node_id`.

@@ -5,8 +5,9 @@ The engine's contract is *exact* reproduction of the monolithic
 roots per definition (and per sampled array subscript) — while spending
 strictly fewer definition-level denotations.  These tests check that
 contract on the full systems suite, plus the engine-specific behaviours:
-SCC plans, delta accounting, worker threads, budget soundness, and loud
-failure on unscheduled bindings.
+SCC plans, delta accounting, forked workers (and the sequential
+fallback without ``os.fork``), budget soundness, and loud failure on
+unscheduled bindings.
 """
 
 import pytest
@@ -56,6 +57,22 @@ class TestChainEquivalence:
         chain = ApproximationChain(defs, env, CFG)
         engine = DenotationEngine(defs, env, CFG, jobs=2)
         _assert_pointer_identical(chain.fixpoint(), engine)
+
+    def test_two_jobs_without_fork_solve_sequentially(self, monkeypatch):
+        # Hosts without os.fork run jobs > 1 in-process, one SCC after
+        # another: same roots as jobs=1, and no child is ever forked.
+        import os
+
+        defs, env = philosophers.definitions(), philosophers.environment()
+        sequential = DenotationEngine(defs, env, CFG).fixpoint()
+        monkeypatch.delattr(os, "fork")
+
+        def forked(*args, **kwargs):
+            raise AssertionError("forked without os.fork")
+
+        monkeypatch.setattr(DenotationEngine, "_solve_processes", forked)
+        engine = DenotationEngine(defs, env, CFG, jobs=2)
+        _assert_pointer_identical(sequential, engine)
 
     def test_fixpoint_shape_matches_chain(self):
         defs, env = multiplier.definitions(), multiplier.environment()
@@ -165,9 +182,10 @@ class TestErrors:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_errors_keep_their_class(self, jobs):
         # multiplier's environment carries the vector host function; drop
-        # it so every SCC's denotation fails, including on worker threads.
-        # The caller must see the *original* exception class — thread
-        # workers never launder errors the way a pickled process pool does.
+        # it so every SCC's denotation fails, including in forked workers.
+        # The caller must see the *original* exception class: a child's
+        # error is rebuilt in the parent by class name, never laundered
+        # into a plain ReproError.
         from repro.errors import UnboundVariableError
         from repro.values.environment import Environment
 
@@ -228,7 +246,7 @@ class TestHorizonSkips:
         chain = ApproximationChain(defs, env, self.DEEP)
         _assert_pointer_identical(chain.fixpoint(), engine)
 
-    def test_horizon_skips_survive_worker_threads(self):
+    def test_horizon_skips_survive_forked_workers(self):
         defs, env = protocol.definitions(), protocol.environment()
         engine = DenotationEngine(defs, env, self.DEEP, jobs=2)
         engine.run()

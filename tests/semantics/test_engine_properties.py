@@ -5,7 +5,7 @@ process arrays included — the dependency-graph engine must be
 
 * **pointer-identical** to the monolithic approximation chain on the
   hash-consed trie kernel (the engine's exactness contract), sequential
-  and with worker threads alike; and
+  and with forked workers alike; and
 * **value-equal** to the chain run on the flat-set ``_reference`` kernel
   (the independent oracle the trie kernel is itself validated against).
 """

@@ -1,7 +1,6 @@
-"""Process-parallel engine mode: ``parallel="processes"``.
+"""The engine's ``jobs > 1`` path: forked worker processes.
 
-The contract mirrors the thread mode's, with a stronger isolation story:
-each worker *process* solves its same-rank SCCs into a private arena and
+Each worker *process* solves its same-rank SCCs into a private arena and
 ships packed flat segments back over a pipe; the parent splices them into
 the canonical store in plan order.  These tests pin down
 
@@ -30,10 +29,10 @@ from repro.semantics.config import SemanticsConfig
 from repro.semantics.engine import DenotationEngine
 from repro.systems import multiplier, philosophers, protocol
 from repro.traces.stats import KERNEL_STATS, reset_stats
-from repro.traces.trie import clear_interner, make_node, private_state
+from repro.traces.trie import make_node, private_state
 
 pytestmark = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="process mode needs os.fork"
+    not hasattr(os, "fork"), reason="forked workers need os.fork"
 )
 
 CFG = SemanticsConfig(depth=4, sample=3)
@@ -69,11 +68,7 @@ class TestPointerIdentity:
     def test_roots_identical_to_sequential(self, system):
         defs, env = system.definitions(), system.environment()
         sequential = _roots(DenotationEngine(defs, env, CFG).fixpoint())
-        spliced = _roots(
-            DenotationEngine(
-                defs, env, CFG, jobs=2, parallel="processes"
-            ).fixpoint()
-        )
+        spliced = _roots(DenotationEngine(defs, env, CFG, jobs=2).fixpoint())
         assert set(sequential) == set(spliced)
         for key, root in sequential.items():
             assert spliced[key] is root
@@ -84,11 +79,7 @@ class TestPointerIdentity:
         solve afterwards must land on the very same views."""
         defs = parse_definitions(DISJOINT)
         with private_state():
-            spliced = _roots(
-                DenotationEngine(
-                    defs, config=CFG, jobs=2, parallel="processes"
-                ).fixpoint()
-            )
+            spliced = _roots(DenotationEngine(defs, config=CFG, jobs=2).fixpoint())
             sequential = _roots(DenotationEngine(defs, config=CFG).fixpoint())
             for key, root in sequential.items():
                 assert spliced[key] is root
@@ -97,9 +88,7 @@ class TestPointerIdentity:
         defs = parse_definitions(DISJOINT)
         with private_state():
             reset_stats()
-            DenotationEngine(
-                defs, config=CFG, jobs=2, parallel="processes"
-            ).fixpoint()
+            DenotationEngine(defs, config=CFG, jobs=2).fixpoint()
             assert KERNEL_STATS.spliced_ids > 0
             assert KERNEL_STATS.spliced_bytes > 0
             assert KERNEL_STATS.remap_entries > 0
@@ -114,9 +103,9 @@ class TestCheckerEquivalence:
         sequential = SatChecker(defs, env, CFG).check(
             Name("protocol"), "output <= input"
         )
-        parallel = SatChecker(
-            defs, env, CFG, jobs=2, parallel="processes"
-        ).check(Name("protocol"), "output <= input")
+        parallel = SatChecker(defs, env, CFG, jobs=2).check(
+            Name("protocol"), "output <= input"
+        )
         assert parallel == sequential  # NamedTuple: verdict-for-verdict
 
 
@@ -130,9 +119,7 @@ class TestGovernorAccounting:
             return governor.nodes_interned
 
     def test_note_nodes_matches_sequential_exactly(self):
-        assert self._nodes_interned(
-            jobs=2, parallel="processes"
-        ) == self._nodes_interned()
+        assert self._nodes_interned(jobs=2) == self._nodes_interned()
 
     def test_budget_trip_crosses_the_pipe(self):
         defs = parse_definitions(DISJOINT)
@@ -140,9 +127,7 @@ class TestGovernorAccounting:
             governor = Budget(max_nodes=3).start()
             with activate(governor):
                 with pytest.raises(BudgetExceeded):
-                    DenotationEngine(
-                        defs, config=CFG, jobs=2, parallel="processes"
-                    ).fixpoint()
+                    DenotationEngine(defs, config=CFG, jobs=2).fixpoint()
             assert governor.exhausted
 
 
@@ -170,10 +155,6 @@ class TestFaultTolerance:
             os.close(fd)  # EOF with no payload: a crash before the write
 
         monkeypatch.setattr(DenotationEngine, "_child_run", die)
-        survived = _roots(
-            DenotationEngine(
-                defs, env, CFG, jobs=2, parallel="processes"
-            ).fixpoint()
-        )
+        survived = _roots(DenotationEngine(defs, env, CFG, jobs=2).fixpoint())
         for key, root in sequential.items():
             assert survived[key] is root

@@ -186,6 +186,40 @@ class TestVerdictParity:
         assert response["exit_code"] == 2
         assert "no process named 'ghost'" in response["stderr"]
 
+    def test_unknown_process_matches_local(
+        self, daemon, copier_defs, tmp_path, capsys
+    ):
+        path = tmp_path / "copier.csp"
+        path.write_text(COPIER)
+        out, err, code = self._local(
+            capsys,
+            ["check", str(path), "--process", "ghost",
+             "--spec", "wire <= input", "--no-cache"],
+        )
+        with _client(daemon) as client:
+            response = client.check(
+                copier_defs, "wire <= input", process="ghost", no_cache=True
+            )
+        assert response["exit_code"] == code == 2
+        assert response["stderr"] + "\n" == err
+        assert response["stdout"] == out == ""
+
+    def test_bad_set_is_parse_exit_and_worker_survives(
+        self, daemon, copier_defs
+    ):
+        # A malformed --set used to raise SystemExit inside the worker,
+        # which escaped the request handler and killed the worker.
+        with _client(daemon) as client:
+            response = client.check(
+                copier_defs, "wire <= input", process="copier",
+                sets=["bad"], no_cache=True,
+            )
+            stats = client.stats()
+        assert response["status"] == "ERROR"
+        assert response["exit_code"] == 2
+        assert response["stderr"].startswith("error: --set expects")
+        assert stats["respawns"] == 0
+
     def test_budget_trip_is_partial(self, daemon, copier_defs):
         with _client(daemon) as client:
             response = client.check(

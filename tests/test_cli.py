@@ -72,9 +72,10 @@ class TestTraces:
         out = capsys.readouterr().out
         assert "input" in out
 
-    def test_unknown_process(self, copier_file):
-        with pytest.raises(SystemExit):
-            main(["traces", copier_file, "--process", "ghost"])
+    def test_unknown_process(self, copier_file, capsys):
+        assert main(["traces", copier_file, "--process", "ghost"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no process named 'ghost'")
 
     def test_operational_engine(self, copier_file, capsys):
         assert (
@@ -129,18 +130,12 @@ class TestCheck:
         )
         assert code == 0
 
-    def test_bad_set_syntax(self, protocol_file):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "check",
-                    protocol_file,
-                    "--spec",
-                    "output <= input",
-                    "--set",
-                    "M",
-                ]
-            )
+    def test_bad_set_syntax(self, protocol_file, capsys):
+        code = main(
+            ["check", protocol_file, "--spec", "output <= input", "--set", "M"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --set expects")
 
 
 class TestProve:
@@ -190,6 +185,11 @@ class TestProve:
         )
         assert code == 1
         assert "PROOF FAILED" in capsys.readouterr().out
+
+    def test_malformed_invariant_is_parse_exit(self, copier_file, capsys):
+        code = main(["prove", copier_file, "--invariant", "copier"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --invariant expects")
 
     def test_array_invariant_uses_definition_parameter(self, protocol_file, capsys):
         code = main(
@@ -490,7 +490,7 @@ class TestEngineFlags:
 
     def test_worker_error_exit_code_without_debug(self, tmp_path, capsys):
         # two independent recursive definitions over an unbound set: both
-        # SCCs fail during denotation (on worker threads with --jobs 2),
+        # SCCs fail during denotation (in forked workers with --jobs 2),
         # and the CLI must still map the error to the semantics exit code
         path = tmp_path / "unbound.csp"
         path.write_text("p = a?x:S -> p; q = b?y:S -> q")

@@ -5,8 +5,8 @@ decoded node goes back through the arena interner (so it is canonical by
 construction), and any structural defect — corrupt JSON, unaligned or
 undecodable packed segments, dangling indices, wrong format version,
 wrong content key — silently discards the file and rebuilds from
-scratch.  Format-1 (pre-arena) payloads under the same content key must
-keep loading through the legacy codec.
+scratch.  That includes format-1 (pre-arena) files under the same
+content key: a cache is never truth, so an old layout simply misses.
 """
 
 import json
@@ -25,7 +25,6 @@ from repro.traces.snapshot import (
     cache_key,
     decode_roots,
     encode_roots,
-    encode_roots_legacy,
 )
 from repro.traces.trie import private_state
 
@@ -162,49 +161,38 @@ class TestDecodeRejectsDefects:
 
 
 class TestLegacyFormat:
-    """Format-1 files (pre-arena object-walk layout) share the content
-    key with format-2 files, so they must keep loading — through the
-    legacy codec, re-interned into the current arena."""
+    """Format-1 files (the pre-arena object-walk layout) share the
+    content key with current files.  There is no legacy codec: a cache
+    is never truth, so any format-1 file, whole or corrupt, misses and
+    is rebuilt."""
 
-    def _write_legacy(self, tmp_path, key, roots):
-        data = encode_roots_legacy(roots)
-        data["format"] = 1
-        data["key"] = key
+    def _write_legacy(self, tmp_path, key, nodes, roots):
+        data = {
+            "format": 1,
+            "key": key,
+            "events": [],
+            "nodes": nodes,
+            "roots": roots,
+        }
         path = tmp_path / f"snapshot-{key}.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         return path
 
-    def test_legacy_snapshot_loads(self, tmp_path):
-        key = cache_key(DEFS, CFG)
-        closure = _closure()
-        self._write_legacy(tmp_path, key, {"fix:p": closure.root})
-        cache = SnapshotCache(tmp_path, key)
-        assert cache.loaded and not cache.rebuilt
-        # legacy decode re-interns onto the canonical arena node
-        assert cache.get("fix:p") is closure.root
-
-    def test_legacy_rewritten_flat_on_save(self, tmp_path):
-        key = cache_key(DEFS, CFG)
-        closure = _closure()
-        self._write_legacy(tmp_path, key, {"fix:p": closure.root})
-        cache = SnapshotCache(tmp_path, key)
-        cache.put("fix:q", closure.root)
-        cache.save()
-        data = json.loads(cache.path.read_text(encoding="utf-8"))
-        assert data["format"] == FORMAT_VERSION
-        assert "arity" in data and "nodes" not in data
-        warm = SnapshotCache(tmp_path, key)
-        assert warm.loaded
-        assert warm.get("fix:p") is closure.root
-
     def test_corrupt_legacy_rebuilt(self, tmp_path):
         key = cache_key(DEFS, CFG)
-        path = self._write_legacy(tmp_path, key, {"fix:p": _closure().root})
-        data = json.loads(path.read_text(encoding="utf-8"))
-        data["nodes"] = data["nodes"][:1]
-        path.write_text(json.dumps(data), encoding="utf-8")
+        # the root points past the truncated node list
+        self._write_legacy(tmp_path, key, [[]], {"fix:p": 3})
         cache = SnapshotCache(tmp_path, key)
         assert cache.rebuilt and not cache.loaded
+        assert cache.quarantined
+        assert cache.get("fix:p") is None
+
+    def test_whole_legacy_rebuilt(self, tmp_path):
+        key = cache_key(DEFS, CFG)
+        self._write_legacy(tmp_path, key, [[]], {"fix:p": 0})
+        cache = SnapshotCache(tmp_path, key)
+        assert cache.rebuilt and not cache.loaded
+        assert cache.quarantined
         assert cache.get("fix:p") is None
 
 
@@ -278,7 +266,7 @@ class TestSnapshotCache:
         data["format"] = FORMAT_VERSION + 1
         cache.path.write_text(json.dumps(data), encoding="utf-8")
         reopened = SnapshotCache(tmp_path, key)
-        assert reopened.rebuilt
+        assert reopened.rebuilt and reopened.quarantined
         assert reopened.get("fix:p") is None
 
     def test_foreign_key_rebuilt(self, tmp_path):
