@@ -51,19 +51,21 @@ underlying exception with its full traceback.
 worker processes keep kernels warm across queries, crashed or hung
 workers are respawned and their in-flight requests transparently
 retried, and a bounded queue sheds excess load explicitly.  Point
-``check``/``traces`` at it with ``--server PATH`` — verdict text and
-exit codes are identical to a local run, just without the cold start.
+``check``/``traces`` at it with ``--server PATH``.  Both sides answer
+through :mod:`repro.query`, so verdict text and exit codes are
+identical to a local run, just without the cold start.  Out-of-range
+numeric flags (``--depth -1``, ``--sample 0``, …) are usage errors
+(exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
+from repro import query
 from repro.assertions.parser import parse_assertion
-from repro.assertions.sequences import cancel_protocol
 from repro.errors import (
     EXIT_BUDGET,
     BudgetExceeded,
@@ -75,110 +77,35 @@ from repro.process.analysis import channel_names
 from repro.process.ast import Name
 from repro.process.parser import parse_definitions
 from repro.process.pretty import pretty_definitions
-from repro.runtime.governor import Budget, Governor, activate
+from repro.query import environment_from_options, process_target
+from repro.runtime.governor import Budget, activate
 from repro.runtime import governor as _governor
-from repro.values.domains import FiniteDomain
-from repro.values.environment import Environment
-
-
-def _parse_value(text: str):
-    text = text.strip()
-    if text.lstrip("-").isdigit():
-        return int(text)
-    return text
-
-
-def environment_from_options(
-    sets: Sequence[str], with_cancel: Optional[str] = None
-) -> Environment:
-    """The value environment for ``--set``/``--with-cancel`` bindings —
-    shared with :mod:`repro.server.worker`, which replays a client's
-    options server-side so both sides bind identically."""
-    env = Environment()
-    for binding in sets or []:
-        name, sep, values = binding.partition("=")
-        if not sep:
-            raise ParseError(f"--set expects NAME=v1,v2,…  got {binding!r}")
-        env = env.bind(
-            name.strip(), FiniteDomain(_parse_value(v) for v in values.split(","))
-        )
-    if with_cancel:
-        env = env.bind(with_cancel, cancel_protocol)
-    return env
-
-
-def _build_env(args: argparse.Namespace) -> Environment:
-    return environment_from_options(args.set or [], args.with_cancel)
-
-
-def _open_cache(args: argparse.Namespace, defs, config):
-    """A snapshot cache for this (definitions, config, bindings) situation,
-    or ``None`` when caching is off.
-
-    Under a budget governor the cache runs in **checkpoint-only** mode:
-    it serves and records nothing but ``fix:{name}@level{k}`` slots —
-    the per-completed-depth closures of the governed deepening schedule.
-    Each such slot is deterministic given the definitions and config
-    (never depends on where a budget tripped), so a tripped run resumes
-    from its own checkpoints on the next invocation while "how far did
-    the budget reach" stays invocation-deterministic; the general slot
-    vocabulary stays reserved for ungoverned runs.
-    """
-    if getattr(args, "no_cache", False):
-        return None
-    from repro.traces.snapshot import SnapshotCache, cache_key
-
-    directory = (
-        Path(args.cache_dir)
-        if getattr(args, "cache_dir", None)
-        else Path.home() / ".cache" / "repro"
-    )
-    extra = {
-        "sets": sorted(args.set or []),
-        "with_cancel": args.with_cancel,
-    }
-    return SnapshotCache(
-        directory,
-        cache_key(defs, config, extra),
-        checkpoint_only=_governor.current() is not None,
-    )
-
-
-def _build_governor(args: argparse.Namespace) -> Optional[Governor]:
-    """A governor for the budget flags, or ``None`` when none were given."""
-    deadline = getattr(args, "deadline", None)
-    max_nodes = getattr(args, "max_nodes", None)
-    max_states = getattr(args, "max_states", None)
-    if deadline is None and max_nodes is None and max_states is None:
-        return None
-    return Budget(
-        deadline=deadline, max_nodes=max_nodes, max_states=max_states
-    ).start()
 
 
 def _load(args: argparse.Namespace):
-    with open(args.file, "r", encoding="utf-8") as handle:
-        source = handle.read()
+    try:
+        with open(args.file, "r", encoding="utf-8") as handle:
+            source = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{args.file} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
     return parse_definitions(source)
 
 
-def process_target(defs, name: Optional[str]) -> Name:
-    """The ``--process`` target (default: the last equation, e.g. the
-    network) — shared with :mod:`repro.server.worker` so an unknown name
-    fails with the same error line locally and under ``serve``."""
-    if name is None:
-        name = list(defs)[-1].name
-    if name not in defs:
-        raise ParseError(
-            f"no process named {name!r}; defined: {sorted(defs.names())}"
-        )
-    return Name(name)
-
-
-def _print_traces(closure) -> None:
-    for trace in closure:
-        inner = ", ".join(repr(e) for e in trace)
-        print(f"  ⟨{inner}⟩")
+def _options(args: argparse.Namespace) -> dict:
+    """The :mod:`repro.query` options of ``check``/``traces``/``stats``."""
+    return dict(
+        process=args.process,
+        depth=args.depth,
+        sample=args.sample,
+        sets=args.set or [],
+        with_cancel=args.with_cancel,
+        engine=args.engine,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        no_cache=args.no_cache,
+    )
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -196,120 +123,56 @@ def _emit(stdout: str, stderr: str, code: int) -> int:
     return code
 
 
-def _remote(args: argparse.Namespace, op: str) -> int:
-    """Route a ``check``/``traces`` invocation to a ``repro serve``
-    daemon.  The file is still parsed locally (syntax errors stay local
-    and fast); the AST travels serialised, and the response carries the
-    exact stdout/stderr a local run would have printed."""
-    from repro.server.client import ServerClient
-
+def _query(args: argparse.Namespace, op: str, specs: Sequence[str] = ()) -> int:
+    """Answer ``check``/``traces`` through :mod:`repro.query`, here or —
+    with ``--server`` — in a ``repro serve`` worker.  The file is parsed
+    locally either way (syntax errors stay local and fast); the AST
+    travels serialised, and the response carries the exact stdout/stderr
+    a local run would have printed."""
     defs = _load(args)
-    deadline = getattr(args, "deadline", None)
-    max_nodes = getattr(args, "max_nodes", None)
-    max_states = getattr(args, "max_states", None)
-    budget = None
-    if deadline is not None or max_nodes is not None or max_states is not None:
-        budget = Budget(
-            deadline=deadline, max_nodes=max_nodes, max_states=max_states
+    options = _options(args)
+    if args.server:
+        from repro.server import protocol
+        from repro.server.client import ServerClient
+
+        request = protocol.query(
+            op,
+            defs,
+            spec=specs or None,
+            budget=Budget.from_spec(vars(args)),
+            **options,
         )
-    kwargs = dict(
-        process=args.process,
-        depth=args.depth,
-        sample=args.sample,
-        sets=args.set or [],
-        with_cancel=args.with_cancel,
-        engine=args.engine,
-        jobs=args.jobs,
-        budget=budget,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
+        with ServerClient(args.server) as client:
+            response = client.call(request)
+        return _emit(
+            response.get("stdout") or "",
+            response.get("stderr") or "",
+            int(response.get("exit_code", 0)),
+        )
+    answer, _ = query.run(
+        defs, op, specs, options, governed=_governor.current() is not None
     )
-    with ServerClient(args.server) as client:
-        if op == "check":
-            response = client.check(defs, args.spec, **kwargs)
-        else:
-            response = client.traces(defs, **kwargs)
-    return _emit(
-        response.get("stdout") or "",
-        response.get("stderr") or "",
-        int(response.get("exit_code", 0)),
-    )
+    return _emit(answer.stdout, answer.stderr, answer.exit_code)
 
 
 def cmd_traces(args: argparse.Namespace) -> int:
-    if getattr(args, "server", None):
-        return _remote(args, "traces")
-    from repro.report import traces_outcome
-    from repro.sat.checker import SatChecker
-    from repro.semantics.config import SemanticsConfig
-
-    defs = _load(args)
-    env = _build_env(args)
-    config = SemanticsConfig(depth=args.depth, sample=args.sample)
-    cache = _open_cache(args, defs, config)
-    checker = SatChecker(
-        defs, env, config, engine=args.engine, jobs=args.jobs, cache=cache
-    )
-    result = checker.traces_partial(process_target(defs, args.process))
-    if cache is not None:
-        cache.save()
-    return _emit(*traces_outcome(result, args.depth, args.engine))
+    return _query(args, "traces")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if getattr(args, "server", None):
-        return _remote(args, "check")
-    from repro.report import check_outcome
-    from repro.sat.checker import SatChecker
-    from repro.semantics.config import SemanticsConfig
-
-    defs = _load(args)
-    env = _build_env(args)
-    config = SemanticsConfig(depth=args.depth, sample=args.sample)
-    cache = _open_cache(args, defs, config)
-    checker = SatChecker(
-        defs, env, config, engine=args.engine, jobs=args.jobs, cache=cache
-    )
-    target = process_target(defs, args.process)
-    # A repeated --spec is a batch: every assertion runs against the
-    # same warm solved system, and the rendering rules (newline-joined
-    # non-empty outputs, first non-zero exit code, a budget trip ends
-    # the batch) mirror repro.server.worker.run_query exactly so local
-    # and remote invocations stay byte-identical.
-    outcomes = []
-    try:
-        for spec in args.spec:
-            try:
-                result = checker.check(target, spec)
-            except BudgetExceeded as exc:
-                outcomes.append(check_outcome(target.name, spec, trip=exc))
-                break
-            outcomes.append(
-                check_outcome(target.name, spec, result=result, depth=args.depth)
-            )
-    finally:
-        if cache is not None:
-            cache.save()
-    stdout = "\n".join(out for out, _, _ in outcomes if out)
-    stderr = "\n".join(err for _, err, _ in outcomes if err)
-    code = next((c for _, _, c in outcomes if c), 0)
-    return _emit(stdout, stderr, code)
+    return _query(args, "check", args.spec)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from repro.report import render_partial
-    from repro.sat.checker import SatChecker
-    from repro.semantics.config import SemanticsConfig
     from repro.traces.stats import format_stats, reset_stats
 
     defs = _load(args)
-    env = _build_env(args)
     reset_stats()
-    config = SemanticsConfig(depth=args.depth, sample=args.sample)
-    cache = _open_cache(args, defs, config)
-    checker = SatChecker(
-        defs, env, config, engine=args.engine, jobs=args.jobs, cache=cache
+    checker = query.open_checker(
+        defs, _options(args), governed=_governor.current() is not None
     )
+    cache = checker.cache
     target = process_target(defs, args.process)
     code = 0
     try:
@@ -317,7 +180,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             from repro.semantics.engine import DenotationEngine
 
             engine = DenotationEngine(
-                defs, env, config, jobs=args.jobs, cache=cache
+                defs, checker.env, checker.config, jobs=args.jobs, cache=cache
             )
             print(engine.explain())
         elif args.spec:
@@ -361,7 +224,7 @@ def cmd_prove(args: argparse.Namespace) -> int:
     from repro.proof.tactics import SatProver
 
     defs = _load(args)
-    env = _build_env(args)
+    env = environment_from_options(args.set, args.with_cancel)
     all_channels = set()
     for definition in defs:
         all_channels |= channel_names(Name(definition.name), defs)
@@ -407,7 +270,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.operational.step import OperationalSemantics
 
     defs = _load(args)
-    env = _build_env(args)
+    env = environment_from_options(args.set, args.with_cancel)
     semantics = OperationalSemantics(defs, env, sample=args.sample)
     run = simulate(
         process_target(defs, args.process),
@@ -426,10 +289,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_deadlocks(args: argparse.Namespace) -> int:
     from repro.operational.explorer import Explorer
     from repro.operational.step import OperationalSemantics
-    from repro.report import render_partial
+    from repro.report import format_traces, render_partial
 
     defs = _load(args)
-    env = _build_env(args)
+    env = environment_from_options(args.set, args.with_cancel)
     semantics = OperationalSemantics(defs, env, sample=args.sample)
     try:
         report = Explorer(semantics).deadlock_report(
@@ -447,7 +310,8 @@ def cmd_deadlocks(args: argparse.Namespace) -> int:
             f"PARTIAL: search stopped early with {len(found)} deadlocking "
             f"trace(s) found so far:"
         )
-        _print_traces(found)
+        if found:
+            print(format_traces(found))
         print(render_partial(exc), file=sys.stderr)
         return EXIT_BUDGET
     if not report.deadlocks:
@@ -460,7 +324,7 @@ def cmd_deadlocks(args: argparse.Namespace) -> int:
         f"{len(report.deadlocks)} deadlocking trace(s) "
         f"({report.states_touched} states touched):"
     )
-    _print_traces(report.deadlocks)
+    print(format_traces(report.deadlocks))
     return 1
 
 
@@ -493,6 +357,23 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least(minimum, kind=int):
+    """An argparse ``type`` for a ``kind`` number no smaller than
+    ``minimum``: out of range is a usage error (exit 2), not a traceback
+    or a wrong answer."""
+
+    def parse(text: str):
+        value = kind(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {text}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value" wording
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -511,19 +392,19 @@ def build_parser() -> argparse.ArgumentParser:
     def budget_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--deadline",
-            type=float,
+            type=_at_least(0, float),
             metavar="SECONDS",
             help="wall-clock budget; exceeded → partial result, exit 4",
         )
         p.add_argument(
             "--max-nodes",
-            type=int,
+            type=_at_least(0),
             metavar="N",
             help="budget of freshly interned trie nodes",
         )
         p.add_argument(
             "--max-states",
-            type=int,
+            type=_at_least(0),
             metavar="N",
             help="budget of explored operational configurations",
         )
@@ -531,8 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, engine: bool = False) -> None:
         p.add_argument("file", help="definitions file in the paper's notation")
         p.add_argument("--process", help="process name (default: last equation)")
-        p.add_argument("--depth", type=int, default=5, help="trace depth bound")
-        p.add_argument("--sample", type=int, default=2, help="values per infinite set")
+        p.add_argument(
+            "--depth", type=_at_least(0), default=5, help="trace depth bound"
+        )
+        p.add_argument(
+            "--sample", type=_at_least(1), default=2, help="values per infinite set"
+        )
         p.add_argument(
             "--set",
             action="append",
@@ -650,14 +535,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_at_least(1),
         default=2,
         metavar="N",
         help="worker processes, each holding a warm kernel (default 2)",
     )
     p.add_argument(
         "--queue-limit",
-        type=int,
+        type=_at_least(0),
         default=16,
         metavar="N",
         help="requests allowed to wait for a worker before the daemon "
@@ -680,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-attempts",
-        type=int,
+        type=_at_least(1),
         default=3,
         metavar="N",
         help="dispatch attempts per request across worker crashes",
@@ -722,9 +607,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     debug = getattr(args, "debug", False)
-    governor = _build_governor(args)
+    budget = Budget.from_spec(vars(args))
     try:
-        with activate(governor):
+        with activate(budget.start() if budget is not None else None):
             return args.func(args)
     except BudgetExceeded as exc:
         # Backstop for trips that escape a command's own partial-result

@@ -22,10 +22,9 @@ import os
 import random
 import socket
 import time
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.errors import Overloaded, ServerError
-from repro.runtime.governor import Budget
 from repro.server import protocol
 
 #: Default retry schedule: 5 attempts, 0.1 s base doubling to a 2 s cap,
@@ -156,69 +155,12 @@ class ServerClient:
     def shutdown(self) -> Dict[str, Any]:
         return self.call({"op": "shutdown"})
 
-    def check(
-        self,
-        definitions: Any,
-        spec: Any,
-        process: Optional[str] = None,
-        depth: int = 5,
-        sample: int = 2,
-        sets: Sequence[str] = (),
-        with_cancel: Optional[str] = None,
-        engine: str = "denotational",
-        jobs: int = 1,
-        budget: Optional[Budget] = None,
-        cache_dir: Optional[str] = None,
-        no_cache: bool = False,
-    ) -> Dict[str, Any]:
+    def check(self, definitions: Any, spec: Any, **options: Any) -> Dict[str, Any]:
         """``spec`` may be one assertion or a list of assertions; a list
         is checked as a batch against one warm solved system and the
-        response carries a per-assertion ``verdicts`` array."""
-        return self.call(
-            protocol.query(
-                "check",
-                definitions,
-                process=process,
-                spec=spec,
-                depth=depth,
-                sample=sample,
-                sets=sets,
-                with_cancel=with_cancel,
-                engine=engine,
-                jobs=jobs,
-                budget=budget,
-                cache_dir=cache_dir,
-                no_cache=no_cache,
-            )
-        )
+        response carries a per-assertion ``verdicts`` array.  ``options``
+        are the keywords of :func:`repro.server.protocol.query`."""
+        return self.call(protocol.query("check", definitions, spec=spec, **options))
 
-    def traces(
-        self,
-        definitions: Any,
-        process: Optional[str] = None,
-        depth: int = 5,
-        sample: int = 2,
-        sets: Sequence[str] = (),
-        with_cancel: Optional[str] = None,
-        engine: str = "denotational",
-        jobs: int = 1,
-        budget: Optional[Budget] = None,
-        cache_dir: Optional[str] = None,
-        no_cache: bool = False,
-    ) -> Dict[str, Any]:
-        return self.call(
-            protocol.query(
-                "traces",
-                definitions,
-                process=process,
-                depth=depth,
-                sample=sample,
-                sets=sets,
-                with_cancel=with_cancel,
-                engine=engine,
-                jobs=jobs,
-                budget=budget,
-                cache_dir=cache_dir,
-                no_cache=no_cache,
-            )
-        )
+    def traces(self, definitions: Any, **options: Any) -> Dict[str, Any]:
+        return self.call(protocol.query("traces", definitions, **options))

@@ -128,6 +128,30 @@ def query(
     return payload
 
 
+def situation(request: Dict[str, Any]) -> str:
+    """One string per semantic situation a warm checker can be reused
+    for: definitions, config, bindings, engine and cache placement.
+
+    Built from the raw request fields only, so the worker (which keys its
+    checker pool by it) and the supervisor (which routes shared
+    solved-system roots by it) compute the same key."""
+    return json.dumps(
+        [
+            request.get("definitions"),
+            request.get("depth", 5),
+            request.get("sample", 2),
+            sorted(request.get("sets") or []),
+            request.get("with_cancel"),
+            request.get("engine", "denotational"),
+            request.get("jobs", 1),
+            request.get("cache_dir"),
+            bool(request.get("no_cache")),
+        ],
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+
+
 def error_response(
     request_id: Optional[str], exit_code: int, message: str, **extra: Any
 ) -> Dict[str, Any]:

@@ -493,13 +493,9 @@ class Supervisor:
         checkpoint-only caches by design.  Transport failures propagate
         to the dispatch retry loop (the worker is retired and the fresh
         replacement re-warmed)."""
-        if request.get("op") not in ("check", "traces"):
-            return
         if request.get("budget"):
             return
-        from repro.server.worker import _situation_key
-
-        situation = _situation_key(request)
+        situation = protocol.situation(request)
         with self._shared_lock:
             entry = self._shared.get(situation)
             if entry is not None:

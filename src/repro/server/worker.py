@@ -6,12 +6,14 @@ frames off it, answers them, and exits when the supervisor closes its
 end.  The loop is deliberately single-threaded: a worker is the unit of
 *crash isolation*, not of concurrency — parallelism comes from the pool.
 
-Warmth is the whole point of serving: the process-global arena kernel
-accumulates interned nodes across requests, and per-system
-:class:`~repro.sat.checker.SatChecker` instances (with their solved
-engine bindings and snapshot caches) are kept in a small LRU keyed by
-the semantic situation, so the hundredth ``P sat R`` query against one
-solved system pays only the sat walk.
+A query is answered by :mod:`repro.query`, the path ``repro check`` and
+``repro traces`` take locally; this module only checks the wire fields
+and keeps the warm state.  Warmth is the whole point of serving: the
+process-global arena kernel accumulates interned nodes across requests,
+and per-system :class:`~repro.sat.checker.SatChecker` instances (with
+their solved engine bindings and snapshot caches) are kept in a small
+LRU keyed by :func:`repro.server.protocol.situation`, so the hundredth
+``P sat R`` query against one solved system pays only the sat walk.
 
 Failure contract:
 
@@ -21,9 +23,10 @@ Failure contract:
   ``serve.worker_exit`` site becomes ``os._exit`` — a SIGKILL-grade
   crash mid-request, exercised by the chaos suite — and at any other
   site it propagates and kills the worker the ordinary way;
-* per-request budgets run under a fresh :class:`Governor`, so a
-  deadline trip yields the same sound ``PARTIAL`` verdict (plus resume
-  slots) as a governed local run.
+* per-request budgets run under a fresh :class:`Governor` and a fresh
+  private arena, so a budget trip yields the same sound ``PARTIAL``
+  verdict (plus resume slots) as a governed local run, however warm the
+  worker is.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ import os
 import socket
 import sys
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro import serialize
-from repro.errors import BudgetExceeded, ServerError, exit_code_for
+from repro import query, serialize
+from repro.errors import ServerError, exit_code_for
 from repro.process.definitions import DefinitionList
 from repro.runtime import faults as _faults
 from repro.runtime.faults import FaultInjected
@@ -49,7 +52,7 @@ from repro.server import protocol
 #: in the process-global arena either way).
 CHECKER_POOL_SIZE = 8
 
-_CHECKERS: "OrderedDict[str, Tuple[Any, Any]]" = OrderedDict()
+_CHECKERS: "OrderedDict[str, Any]" = OrderedDict()
 
 #: Solved-system roots adopted from sibling workers via the supervisor's
 #: ``warm`` op, keyed by situation — spliced into this worker's arena and
@@ -61,31 +64,6 @@ _WARM_ROOTS: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 #: JSON dicts — no splicing needed — but they are only trusted after the
 #: consumer's own validation, exactly like blobs read from disk.
 _WARM_BLOBS: "OrderedDict[str, Dict[str, dict]]" = OrderedDict()
-
-
-def _situation_key(request: Dict[str, Any]) -> str:
-    """One string per semantic situation a checker can be reused for.
-
-    Built from the *raw* request fields only, so the supervisor (which
-    routes shared solved-system roots by this key) computes the identical
-    key."""
-    import json
-
-    return json.dumps(
-        [
-            request.get("definitions"),
-            request.get("depth", 5),
-            request.get("sample", 2),
-            sorted(request.get("sets") or []),
-            request.get("with_cancel"),
-            request.get("engine", "denotational"),
-            request.get("jobs", 1),
-            request.get("cache_dir"),
-            bool(request.get("no_cache")),
-        ],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
 
 
 class MemoryRootsCache:
@@ -191,79 +169,32 @@ class MemoryRootsCache:
             self.inner.save()
 
 
-def _open_cache(request: Dict[str, Any], defs: Any, config: Any, governed: bool):
-    """The snapshot cache for this request — same directory, key, and
-    checkpoint-only rules as :func:`repro.cli._open_cache`, so remote
-    and local invocations share slots."""
-    if request.get("no_cache"):
-        return None
-    from pathlib import Path
-
-    from repro.traces.snapshot import SnapshotCache, cache_key
-
-    directory = (
-        Path(request["cache_dir"])
-        if request.get("cache_dir")
-        else Path.home() / ".cache" / "repro"
-    )
-    extra = {
-        "sets": sorted(request.get("sets") or []),
-        "with_cancel": request.get("with_cancel"),
-    }
-    return SnapshotCache(
-        directory, cache_key(defs, config, extra), checkpoint_only=governed
-    )
-
-
-def _checker_for(request: Dict[str, Any], defs: Any, governed: bool):
+def _checker_for(defs: Any, request: Dict[str, Any], governed: bool):
     """A :class:`SatChecker` for this request — reused across requests
     when ungoverned (governed runs need fresh checkpoint-only caches and
     must not inherit warm full-depth engine bindings)."""
-    from repro.cli import environment_from_options
-    from repro.sat.checker import SatChecker
-    from repro.semantics.config import SemanticsConfig
-
-    config = SemanticsConfig(
-        depth=int(request.get("depth", 5)), sample=int(request.get("sample", 2))
-    )
-    key = None if governed else _situation_key(request)
-    if key is not None and key in _CHECKERS:
+    if governed:
+        return query.open_checker(defs, request, governed)
+    key = protocol.situation(request)
+    if key in _CHECKERS:
         _CHECKERS.move_to_end(key)
         return _CHECKERS[key]
-    env = environment_from_options(
-        request.get("sets") or [], request.get("with_cancel")
+    checker = query.open_checker(defs, request, governed)
+    # Ungoverned checkers cache through the shared-roots layer, so a
+    # system a sibling worker already solved warm-starts here too.
+    checker.cache = MemoryRootsCache(
+        checker.cache, _WARM_ROOTS.get(key), _WARM_BLOBS.get(key)
     )
-    cache = _open_cache(request, defs, config, governed)
-    if not governed:
-        # Ungoverned checkers cache through the shared-roots layer, so a
-        # system a sibling worker already solved warm-starts here too.
-        cache = MemoryRootsCache(
-            inner=cache,
-            seed=_WARM_ROOTS.get(key),
-            seed_blobs=_WARM_BLOBS.get(key),
-        )
-    checker = SatChecker(
-        defs,
-        env,
-        config,
-        engine=request.get("engine", "denotational"),
-        jobs=int(request.get("jobs") or 1),
-        cache=cache,
-    )
-    if key is not None:
-        _CHECKERS[key] = (checker, cache)
-        while len(_CHECKERS) > CHECKER_POOL_SIZE:
-            _CHECKERS.popitem(last=False)
-    return checker, cache
+    _CHECKERS[key] = checker
+    while len(_CHECKERS) > CHECKER_POOL_SIZE:
+        _CHECKERS.popitem(last=False)
+    return checker
 
 
 def run_query(request: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one ``check``/``traces`` request and render its response
-    exactly as the local CLI would."""
-    from repro.cli import process_target
-    from repro.report import check_outcome, traces_outcome
-
-    rid = request.get("id")
+    """Answer one ``check``/``traces`` request through :mod:`repro.query`
+    — exactly as the local CLI would — after checking its wire fields."""
+    op = request["op"]
     if request.get("engine", "denotational") not in (
         "denotational",
         "operational",
@@ -272,79 +203,32 @@ def run_query(request: Dict[str, Any]) -> Dict[str, Any]:
     defs = serialize.decode(request["definitions"])
     if not isinstance(defs, DefinitionList):
         raise ServerError("definitions payload is not a definition list")
-    target = process_target(defs, request.get("process") or None)
-    name = target.name
+    specs: list = []
+    if op == "check":
+        raw = request.get("spec")
+        if not raw:
+            raise ServerError("check request carries no spec")
+        specs = list(raw) if isinstance(raw, list) else [raw]
+        if not all(isinstance(s, str) and s for s in specs):
+            raise ServerError("check batch carries a non-string spec")
     budget = Budget.from_spec(request.get("budget"))
-    governor = budget.start() if budget is not None else None
-    resume_slots: Tuple[str, ...] = ()
-    verdicts: list = []
-    with activate(governor):
-        checker, cache = _checker_for(request, defs, governor is not None)
-        try:
-            if request["op"] == "check":
-                raw = request.get("spec")
-                if not raw:
-                    raise ServerError("check request carries no spec")
-                specs = list(raw) if isinstance(raw, list) else [raw]
-                if not all(isinstance(s, str) and s for s in specs):
-                    raise ServerError("check batch carries a non-string spec")
-                # Batch: every assertion runs against the same checker —
-                # the system is solved once, later specs pay only the sat
-                # walk.  A budget trip ends the batch (soundly partial).
-                for spec in specs:
-                    try:
-                        result = checker.check(target, spec)
-                    except BudgetExceeded as exc:
-                        s_out, s_err, s_code = check_outcome(
-                            name, spec, trip=exc
-                        )
-                        if exc.checkpoint is not None:
-                            resume_slots = exc.checkpoint.resume_slots()
-                        verdicts.append(
-                            {
-                                "spec": spec,
-                                "exit_code": s_code,
-                                "stdout": s_out,
-                                "stderr": s_err,
-                            }
-                        )
-                        break
-                    s_out, s_err, s_code = check_outcome(
-                        name, spec, result=result, depth=checker.config.depth
-                    )
-                    verdicts.append(
-                        {
-                            "spec": spec,
-                            "exit_code": s_code,
-                            "stdout": s_out,
-                            "stderr": s_err,
-                        }
-                    )
-                stdout = "\n".join(v["stdout"] for v in verdicts if v["stdout"])
-                stderr = "\n".join(v["stderr"] for v in verdicts if v["stderr"])
-                code = next(
-                    (v["exit_code"] for v in verdicts if v["exit_code"]), 0
-                )
-            else:
-                partial = checker.traces_partial(target)
-                stdout, stderr, code = traces_outcome(
-                    partial, checker.config.depth, checker.engine
-                )
-        finally:
-            if cache is not None:
-                cache.save()
+    governed = budget is not None
+    with activate(budget.start() if governed else None):
+        answer, cache = query.run(
+            defs, op, specs, request, governed, checker_for=_checker_for
+        )
     response = {
-        "id": rid,
+        "id": request.get("id"),
         "status": "OK",
-        "exit_code": code,
-        "stdout": stdout,
-        "stderr": stderr,
+        "exit_code": answer.exit_code,
+        "stdout": answer.stdout,
+        "stderr": answer.stderr,
         "pid": os.getpid(),
     }
-    if request["op"] == "check":
-        response["verdicts"] = verdicts
-    if resume_slots:
-        response["resume_slots"] = list(resume_slots)
+    if op == "check":
+        response["verdicts"] = list(answer.verdicts)
+    if answer.resume_slots:
+        response["resume_slots"] = list(answer.resume_slots)
     if isinstance(cache, MemoryRootsCache) and (
         cache.take_fresh() or cache.take_fresh_blobs()
     ):
@@ -356,7 +240,7 @@ def run_query(request: Dict[str, Any]) -> Dict[str, Any]:
         from repro.traces.snapshot import export_segments
 
         response["solved"] = {
-            "situation": _situation_key(request),
+            "situation": protocol.situation(request),
             "roots": export_segments(cache.roots),
             "blobs": dict(cache.blobs),
         }
@@ -402,8 +286,8 @@ def adopt_roots(request: Dict[str, Any]) -> Dict[str, Any]:
         while len(_WARM_BLOBS) > CHECKER_POOL_SIZE:
             _WARM_BLOBS.popitem(last=False)
     cached = _CHECKERS.get(situation)
-    if cached is not None and isinstance(cached[1], MemoryRootsCache):
-        cached[1].adopt(roots, blobs)
+    if cached is not None and isinstance(cached.cache, MemoryRootsCache):
+        cached.cache.adopt(roots, blobs)
     return {
         "id": rid,
         "status": "OK",

@@ -580,3 +580,83 @@ class TestStats:
         out = capsys.readouterr().out
         assert "HOLDS" in out
         assert "interner" in out
+
+
+class TestOptionBounds:
+    """An out-of-range numeric flag is a usage error: exit 2 with an
+    argparse message, never a traceback or a wrong answer."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{file}", "--spec", "wire <= input", "--depth", "-1"],
+            ["traces", "{file}", "--depth", "-1"],
+            ["stats", "{file}", "--depth", "-1"],
+            ["deadlocks", "{file}", "--depth", "-1"],
+            ["check", "{file}", "--spec", "wire <= input", "--sample", "0"],
+            ["traces", "{file}", "--sample", "0"],
+            ["stats", "{file}", "--sample", "0"],
+            ["simulate", "{file}", "--sample", "0"],
+            ["check", "{file}", "--spec", "wire <= input", "--deadline", "-1"],
+            ["reproduce", "--deadline", "-1"],
+            ["traces", "{file}", "--max-nodes", "-1"],
+            ["traces", "{file}", "--max-states", "-1"],
+            ["serve", "--socket", "{socket}", "--jobs", "0"],
+            ["serve", "--socket", "{socket}", "--queue-limit", "-1"],
+            ["serve", "--socket", "{socket}", "--max-attempts", "0"],
+        ],
+    )
+    def test_rejected_with_exit_2(self, argv, copier_file, tmp_path, capsys):
+        socket_path = str(tmp_path / "repro.sock")
+        argv = [a.format(file=copier_file, socket=socket_path) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be at least" in err
+        assert "Traceback" not in err
+
+    def test_lower_bounds_are_accepted(self, copier_file, capsys):
+        code = main(
+            ["traces", copier_file, "--process", "copier", "--depth", "0",
+             "--sample", "1", "--deadline", "0", "--no-cache"]
+        )
+        assert code in (0, 4)  # a zero deadline may trip, soundly
+        code = main(
+            ["check", copier_file, "--process", "copier", "--spec",
+             "wire <= input", "--depth", "0", "--max-nodes", "0",
+             "--max-states", "0", "--no-cache"]
+        )
+        assert code in (0, 4)
+
+    def test_non_numeric_keeps_argparse_wording(self, copier_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["traces", copier_file, "--depth", "many"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+
+
+class TestUndecodableFile:
+    """A definitions file that is not UTF-8 is a parse error (exit 2, one
+    ``error:`` line naming the file) on every command that reads one —
+    including ``--server``, whose client parses the file itself."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["parse", "{file}"],
+            ["traces", "{file}"],
+            ["check", "{file}", "--spec", "a <= a"],
+            ["deadlocks", "{file}"],
+            ["check", "{file}", "--spec", "a <= a",
+             "--server", "/nonexistent/repro.sock"],
+        ],
+    )
+    def test_parse_exit(self, argv, tmp_path, capsys):
+        path = tmp_path / "latin1.csp"
+        path.write_bytes("p = a!\xe9 -> STOP".encode("latin-1"))
+        code = main([a.format(file=path) for a in argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not UTF-8 text")
+        assert err.count("\n") == 1
