@@ -61,6 +61,7 @@ numeric flags (``--depth -1``, ``--sample 0``, …) are usage errors
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -357,16 +358,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _at_least(minimum, kind=int):
-    """An argparse ``type`` for a ``kind`` number no smaller than
-    ``minimum``: out of range is a usage error (exit 2), not a traceback
-    or a wrong answer."""
+def _at_least(minimum, kind=int, exclusive=False):
+    """An argparse ``type`` for a finite ``kind`` number no smaller than
+    ``minimum`` (greater than it, with ``exclusive``): out of range is a
+    usage error (exit 2), not a traceback or a wrong answer."""
 
     def parse(text: str):
         value = kind(text)
-        if value < minimum:
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if value < minimum or (exclusive and value == minimum):
+            bound = "greater than" if exclusive else "at least"
             raise argparse.ArgumentTypeError(
-                f"must be at least {minimum}, got {text}"
+                f"must be {bound} {minimum}, got {text}"
             )
         return value
 
@@ -437,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
             p.add_argument(
                 "--jobs",
-                type=int,
+                type=_at_least(1),
                 default=1,
                 metavar="N",
                 help="forked worker processes for independent fixpoint "
@@ -518,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run one scheduled execution")
     common(p)
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
@@ -550,14 +554,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--request-timeout",
-        type=float,
+        type=_at_least(0, float, exclusive=True),
         default=300.0,
         metavar="SECONDS",
         help="deadline for requests that carry no --deadline of their own",
     )
     p.add_argument(
         "--grace",
-        type=float,
+        type=_at_least(0, float, exclusive=True),
         default=2.0,
         metavar="SECONDS",
         help="slack past a request's deadline before its worker is "
@@ -572,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-requests",
-        type=int,
+        type=_at_least(1),
         metavar="N",
         help="recycle a worker after serving this many requests",
     )

@@ -75,6 +75,7 @@ from repro.traces.prefix_closure import STOP_CLOSURE, FiniteClosure
 from repro.traces.snapshot import (
     SnapshotCache,
     SnapshotError,
+    bulk_codec,
     export_segments,
     fix_slot,
     splice_segments,
@@ -295,16 +296,16 @@ class DenotationEngine:
         Each child solves a stride of the rank's pending SCCs into a
         private kernel state and writes one JSON payload — per-unit flat
         segment roots (:func:`~repro.traces.snapshot.export_segments`),
-        a report, and governor deltas — to its pipe, then exits.  The
-        parent closes each write end immediately after forking (so no
-        later child holds an earlier pipe open past its writer's death),
-        reads every payload to EOF, and splices units back **in plan
-        order**: each unit's node delta is charged to the ambient
-        governor *before* its segments are appended, so a budget trip
-        admits none of that unit (the :meth:`Arena.append_rows`
-        contract), and the canonical interner sees the same insertion
-        sequence regardless of child timing — final roots are
-        pointer-identical to a sequential run.
+        a report, governor deltas, and kernel work counters — to its
+        pipe, then exits.  The parent closes each write end immediately
+        after forking (so no later child holds an earlier pipe open past
+        its writer's death), reads every payload to EOF, and splices
+        units back **in plan order**: each unit's node delta is charged
+        to the ambient governor *before* its segments are appended, so a
+        budget trip admits none of that unit (the
+        :meth:`Arena.append_rows` contract), and the canonical interner
+        sees the same insertion sequence regardless of child timing —
+        final roots are pointer-identical to a sequential run.
 
         A child that reports an error stops the merge: the parent
         re-raises the plan-order-first failure rebuilt as the child's
@@ -315,6 +316,9 @@ class DenotationEngine:
         plan-order slots, sound because nothing from the torn payload
         was admitted (PR 2 abort safety).
         """
+        # Children export through the bulk codec and the parent splices
+        # through it: load it once here, so the fork shares it.
+        bulk_codec()
         jobs = min(self.jobs, len(indices))
         parts = [indices[k::jobs] for k in range(jobs)]
         children: List[Tuple[int, int, List[int]]] = []
@@ -395,6 +399,7 @@ class DenotationEngine:
             if unit is None:
                 self._merge(*self._solve_scc(self._sccs[index], rank))
                 continue
+            _stats.KERNEL_STATS.add_work(unit.get("work", {}))
             by_pretty = {e.pretty(): e for e in self._sccs[index].entries}
             solution = {
                 by_pretty[slot]: FiniteClosure.from_node(node)
@@ -412,6 +417,9 @@ class DenotationEngine:
         that work was already charged when the parent solved it; only
         each unit's own solve delta is reported, which is what keeps
         parent-side accounting exact with respect to a sequential run.
+        The same goes for the unit's ``KERNEL_STATS`` work (delta walks,
+        memo traffic; :meth:`~repro.traces.stats.KernelStats.work`),
+        which the parent adds to its own counters at splice.
         The inherited governor still trips at the correct *global*
         thresholds: fork copies its accumulated counters and its clock.
         """
@@ -428,9 +436,11 @@ class DenotationEngine:
                         }
                     nodes0 = governor.nodes_interned if governor is not None else 0
                     states0 = governor.states_touched if governor is not None else 0
+                    work0 = _stats.KERNEL_STATS.work()
                     solution, report = self._solve_scc(
                         self._sccs[index], rank, resolved
                     )
+                    work = _stats.KERNEL_STATS.work_since(work0)
                     units.append(
                         {
                             "index": index,
@@ -441,6 +451,7 @@ class DenotationEngine:
                                 }
                             ),
                             "report": _report_wire(report),
+                            "work": work,
                             "nodes": (
                                 governor.nodes_interned - nodes0
                                 if governor is not None

@@ -20,6 +20,19 @@ of building canonical ones; stored counts/heights are verified against
 the edge tables (the recurrence has a unique solution over a
 post-order, so node-local consistency proves them), never trusted.
 
+numpy is this module's alone, and it loads late: :func:`bulk_codec`
+imports it on the first bulk encode or decode, not at import time.
+numpy costs more to import than the rest of ``repro`` put together,
+and a one-shot ``repro check --no-cache``, ``traces --no-cache`` or
+``deadlocks``, the ``repro serve`` supervisor and a ``--server``
+client never touch a snapshot, so they never load it.  A serve
+worker loads it on its first frame export or snapshot operation.
+The denotation engine calls :func:`bulk_codec` before it forks
+``--jobs`` children: each child exports its roots through the bulk
+encoder, and a module loaded before the fork is inherited for free,
+where a lazy import would be paid once per child and again by the
+parent to splice.
+
 A snapshot is trusted only as a cache, never as truth:
 
 * it is keyed by a content hash of the definition list, the
@@ -53,6 +66,7 @@ ordinary CLI invocations:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -75,10 +89,20 @@ try:  # POSIX cross-process advisory locking; absent → single-writer hosts
 except ImportError:  # pragma: no cover - all CI hosts are POSIX
     fcntl = None
 
-try:  # optional accelerator: vectorised validation + bulk decode
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+
+@functools.lru_cache(maxsize=None)
+def bulk_codec() -> Any:
+    """The numpy module behind the bulk codec, imported on the first
+    call rather than at module load (the module docstring says why);
+    ``None`` where numpy is not installed, and the pure-Python codec
+    then writes the same bytes.  Call it before ``os.fork``-ing workers
+    that export segments, so they inherit the loaded module."""
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - numpy ships with the toolchain
+        return None
+    return numpy
+
 
 #: On-disk layout version: flat arena segments.  Any other format
 #: (including the pre-arena format 1) is quarantined and rebuilt.
@@ -125,8 +149,9 @@ def encode_roots(roots: Dict[str, ClosureNode]) -> dict:
     if arena is None:
         arena = current_state().arena
     root_ids = {slot: node_id(root, arena) for slot, root in roots.items()}
-    if _np is not None:
-        return _encode_bulk(arena, root_ids)
+    np = bulk_codec()
+    if np is not None:
+        return _encode_bulk(np, arena, root_ids)
     return _encode_sequential(arena, root_ids)
 
 
@@ -186,13 +211,12 @@ def _encode_sequential(arena, root_ids: Dict[str, int]) -> dict:
 def _as_i32(values) -> "array":
     """A native ``array('i')`` spliced from a numpy buffer (C-level)."""
     out = array("i")
-    out.frombytes(values.astype(_np.int32, copy=False).tobytes())
+    out.frombytes(values.astype("int32", copy=False).tobytes())
     return out
 
 
-def _encode_bulk(arena, root_ids: Dict[str, int]) -> dict:
+def _encode_bulk(np, arena, root_ids: Dict[str, int]) -> dict:
     """Vectorised encoder: frontier reachability sweep + ragged gather."""
-    np = _np
     es = np.frombuffer(arena.edge_start, dtype=np.int32).astype(np.int64)
     el = np.frombuffer(arena.edge_len, dtype=np.int32).astype(np.int64)
     ee = np.frombuffer(arena.edge_events, dtype=np.int32)
@@ -289,10 +313,13 @@ def decode_roots(data: dict) -> Dict[str, ClosureNode]:
         arena = current_state().arena
         eids = [arena.intern_event(e) for e in events]
         ids: Optional[List[int]] = None
-        if _np is not None and len(arity) and array("i").itemsize == 4:
-            ids = _decode_bulk(
-                arena, eids, arity, flat_events, flat_children, counts, heights
-            )
+        if len(arity) and array("i").itemsize == 4:
+            np = bulk_codec()
+            if np is not None:
+                ids = _decode_bulk(
+                    np, arena, eids, arity, flat_events, flat_children,
+                    counts, heights,
+                )
         if ids is None:
             ids = _decode_sequential(
                 arena, eids, arity, flat_events, flat_children, counts, heights
@@ -366,7 +393,9 @@ def _decode_sequential(
     return ids
 
 
-def _decode_bulk(arena, eids, arity, flat_events, flat_children, counts, heights):
+def _decode_bulk(
+    np, arena, eids, arity, flat_events, flat_children, counts, heights
+):
     """Vectorised decode: validate every structural property of the
     payload with numpy, then splice whole segments into the arena via
     :meth:`Arena.append_rows`.
@@ -385,7 +414,6 @@ def _decode_bulk(arena, eids, arity, flat_events, flat_children, counts, heights
     wholesale: per-node events arrive unsorted, the file repeats a node,
     or any node is already interned (warm arena).
     """
-    np = _np
     arity_np = np.frombuffer(arity, dtype=np.int32)
     fe = np.frombuffer(flat_events, dtype=np.int32)
     fc = np.frombuffer(flat_children, dtype=np.int32)

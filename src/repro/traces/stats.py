@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from typing import Dict
 
+#: The scalar counters :meth:`KernelStats.work` ships across a fork.
+_WORK_COUNTERS = ("delta_queries", "delta_capped", "frontier_nodes")
+
 
 class MemoStats:
     """Hit/miss counters for one operator's memo table."""
@@ -105,6 +108,46 @@ class KernelStats:
         except KeyError:
             stats = self.memos[operator] = MemoStats()
             return stats
+
+    # -- shipping work across a fork ----------------------------------------
+
+    def work(self) -> Dict[str, object]:
+        """The *work* counters a forked engine child ships to its parent:
+        delta walks, capped walks, fresh frontier nodes, and per-operator
+        memo hits/misses, as a JSON-shaped copy.  Gauges (nodes alive,
+        arena bytes) and splice traffic are left out: the parent's own
+        arena and splice account for those."""
+        work: Dict[str, object] = {
+            key: getattr(self, key) for key in _WORK_COUNTERS
+        }
+        work["memos"] = {
+            name: [stats.hits, stats.misses]
+            for name, stats in self.memos.items()
+        }
+        return work
+
+    def work_since(self, before: Dict[str, object]) -> Dict[str, object]:
+        """The work counted since ``before`` (an earlier :meth:`work`)."""
+        now = self.work()
+        delta: Dict[str, object] = {
+            key: now[key] - before[key] for key in _WORK_COUNTERS
+        }
+        memos = {}
+        for name, (hits, misses) in now["memos"].items():
+            hits0, misses0 = before["memos"].get(name, (0, 0))
+            if hits != hits0 or misses != misses0:
+                memos[name] = [hits - hits0, misses - misses0]
+        delta["memos"] = memos
+        return delta
+
+    def add_work(self, delta: Dict[str, object]) -> None:
+        """Count a :meth:`work_since` delta shipped from a child."""
+        for key in _WORK_COUNTERS:
+            setattr(self, key, getattr(self, key) + int(delta.get(key, 0)))
+        for name, (hits, misses) in delta.get("memos", {}).items():
+            stats = self.memo(name)
+            stats.hits += int(hits)
+            stats.misses += int(misses)
 
     # -- reporting ---------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -563,6 +565,23 @@ class TestStats:
         assert "interner" in out
         assert "memo tables" in out
 
+    def test_forked_children_ship_their_delta_walks(self, protocol_file, capsys):
+        # Under --jobs 2 the delta walks happen in forked children; their
+        # counters must reach the parent's report, equal to --jobs 1.
+        def walks(jobs):
+            code = main(
+                ["stats", protocol_file, "--set", "M=0,1", "--with-cancel",
+                 "f", "--depth", "5", "--no-cache", "--explain-plan",
+                 "--jobs", jobs]
+            )
+            assert code == 0
+            out = capsys.readouterr().out
+            return re.search(r"delta frontiers: (\d+) walks", out).group(1)
+
+        sequential = walks("1")
+        assert int(sequential) > 0
+        assert walks("2") == sequential
+
     def test_stats_with_spec_checks_and_reports(self, copier_file, capsys):
         code = main(
             [
@@ -604,6 +623,12 @@ class TestOptionBounds:
             ["serve", "--socket", "{socket}", "--jobs", "0"],
             ["serve", "--socket", "{socket}", "--queue-limit", "-1"],
             ["serve", "--socket", "{socket}", "--max-attempts", "0"],
+            ["serve", "--socket", "{socket}", "--max-requests", "0"],
+            ["serve", "--socket", "{socket}", "--max-requests", "-1"],
+            ["check", "{file}", "--spec", "wire <= input", "--jobs", "0"],
+            ["traces", "{file}", "--jobs", "-3"],
+            ["stats", "{file}", "--jobs", "0"],
+            ["simulate", "{file}", "--steps", "-2"],
         ],
     )
     def test_rejected_with_exit_2(self, argv, copier_file, tmp_path, capsys):
@@ -616,6 +641,39 @@ class TestOptionBounds:
         assert "must be at least" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, wording",
+        [
+            # -1 broke every request (``Timeout value out of range``);
+            # 0 made worker sockets non-blocking.
+            (["serve", "--socket", "{socket}", "--request-timeout", "-1"],
+             "must be greater than 0"),
+            (["serve", "--socket", "{socket}", "--request-timeout", "0"],
+             "must be greater than 0"),
+            (["serve", "--socket", "{socket}", "--grace", "-5"],
+             "must be greater than 0"),
+            (["serve", "--socket", "{socket}", "--grace", "0"],
+             "must be greater than 0"),
+            (["serve", "--socket", "{socket}", "--request-timeout", "inf"],
+             "must be finite"),
+            (["serve", "--socket", "{socket}", "--grace", "nan"],
+             "must be finite"),
+            (["check", "{file}", "--spec", "wire <= input", "--deadline",
+              "inf"], "must be finite"),
+        ],
+    )
+    def test_seconds_must_be_positive_and_finite(
+        self, argv, wording, copier_file, tmp_path, capsys
+    ):
+        socket_path = str(tmp_path / "repro.sock")
+        argv = [a.format(file=copier_file, socket=socket_path) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert wording in err
+        assert "Traceback" not in err
+
     def test_lower_bounds_are_accepted(self, copier_file, capsys):
         code = main(
             ["traces", copier_file, "--process", "copier", "--depth", "0",
@@ -625,9 +683,24 @@ class TestOptionBounds:
         code = main(
             ["check", copier_file, "--process", "copier", "--spec",
              "wire <= input", "--depth", "0", "--max-nodes", "0",
-             "--max-states", "0", "--no-cache"]
+             "--max-states", "0", "--jobs", "1", "--no-cache"]
         )
         assert code in (0, 4)
+        code = main(
+            ["simulate", copier_file, "--process", "copier", "--steps", "0"]
+        )
+        assert code == 0
+
+    def test_serve_lower_bounds_are_accepted(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "--socket", "/tmp/repro.sock", "--request-timeout",
+             "0.5", "--grace", "0.01", "--max-requests", "1"]
+        )
+        assert (args.request_timeout, args.grace, args.max_requests) == (
+            0.5, 0.01, 1
+        )
 
     def test_non_numeric_keeps_argparse_wording(self, copier_file, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,10 @@ from repro.process.ast import Name
 from repro.process.parser import parse_definitions
 from repro.semantics.config import SemanticsConfig
 from repro.semantics.denotation import denote
+from repro.semantics.engine import DenotationEngine
 from repro.serialize import pack_ints, pack_ints64, unpack_ints, unpack_ints64
+from repro.systems import buffer, copier, philosophers, protocol
+from repro.traces import snapshot
 from repro.traces.snapshot import (
     FORMAT_VERSION,
     SnapshotCache,
@@ -26,6 +29,7 @@ from repro.traces.snapshot import (
     decode_roots,
     encode_roots,
 )
+from repro.traces.stats import KERNEL_STATS
 from repro.traces.trie import private_state
 
 CFG = SemanticsConfig(depth=3, sample=2)
@@ -158,6 +162,71 @@ class TestDecodeRejectsDefects:
     def test_garbage_payload(self):
         with pytest.raises(SnapshotError):
             decode_roots({"events": "nope", "arity": 3, "roots": []})
+
+
+class TestPurePythonCodec:
+    """Hosts without numpy run the pure-Python encoder and decoder.  With
+    :func:`bulk_codec` patched to report no numpy, ``encode_roots`` must
+    emit the bulk encoder's payload byte for byte on every shipped
+    system, and both decoders must rebuild pointer-identical roots."""
+
+    SYSTEMS = [
+        pytest.param(copier, {}, 7, id="copier-d7"),
+        pytest.param(protocol, {}, 6, id="protocol-d6"),
+        pytest.param(philosophers, {"seats": 3}, 6, id="philosophers3-d6"),
+        pytest.param(buffer, {"places": 3}, 6, id="buffer3-d6"),
+    ]
+
+    @staticmethod
+    def _codec(monkeypatch, function, argument, bulk):
+        with monkeypatch.context() as host:
+            if not bulk:
+                host.setattr(snapshot, "bulk_codec", lambda: None)
+            return function(argument)
+
+    @pytest.mark.parametrize("system, size, depth", SYSTEMS)
+    def test_payloads_and_roots_match_the_bulk_codec(
+        self, system, size, depth, monkeypatch
+    ):
+        if snapshot.bulk_codec() is None:
+            pytest.skip("the bulk codec needs numpy")
+        engine = DenotationEngine(
+            system.definitions(**size),
+            system.environment(),
+            SemanticsConfig(depth=depth),
+        )
+        roots = {
+            f"{name}[{sub}]": closure.root
+            for name, value in engine.fixpoint().items()
+            for sub, closure in (
+                value.items() if isinstance(value, dict) else [(None, value)]
+            )
+        }
+        payload = self._codec(monkeypatch, encode_roots, roots, bulk=True)
+        plain = self._codec(monkeypatch, encode_roots, roots, bulk=False)
+        assert plain == payload
+
+        def decode(bulk):
+            return self._codec(monkeypatch, decode_roots, payload, bulk)
+
+        def same(a, b):
+            return all(a[slot] is b[slot] for slot in roots)
+
+        # Into the arena that built them: the very same views.
+        assert same(decode(bulk=True), roots)
+        assert same(decode(bulk=False), roots)
+        # Into a cold arena, each decoder first: the bulk splice and
+        # per-node interning land on the same nodes.
+        with private_state():
+            before = KERNEL_STATS.spliced_ids
+            spliced = decode(bulk=True)
+            assert KERNEL_STATS.spliced_ids > before  # the splice ran
+            assert same(decode(bulk=False), spliced)
+            assert encode_roots(spliced) == payload
+        with private_state():
+            interned = decode(bulk=False)
+            assert same(decode(bulk=True), interned)
+            assert encode_roots(interned) == payload
 
 
 class TestLegacyFormat:
