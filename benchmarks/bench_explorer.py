@@ -1,14 +1,14 @@
-"""Benchmark the payoff of persisted explorer frontiers: warm-restarted
-operational exploration vs a cold breadth-first search.
+"""Benchmark the payoff of cached operational closures: a warm
+``--engine operational`` query vs a cold breadth-first search.
 
 A cold ``--engine operational`` run pays the full BFS — every τ-closure,
-every visible step — on every invocation.  A warm run loads the deepest
-persisted ``frontier:{name}@level{k}`` slot and either returns the
-stored closure outright (saturated, or already at the requested horizon)
-or explores only the missing levels.  This module records both sides and
-their ratio to ``BENCH_explorer.json``; ``bench_guard.py`` re-measures
-the ratio and fails CI if the warm path stops beating the cold path by
-the acceptance factor.
+every visible step — on every invocation.  A warm run opens the snapshot
+file and serves the ``traces:operational:{name}:d{depth}`` closure slot,
+the same slot family the denotational engine caches under, without
+building an explorer.  This module records both sides and their ratio
+to ``BENCH_explorer.json``; ``bench_guard.py`` re-measures the ratio
+and fails CI if the warm path stops beating the cold path by the
+acceptance factor.
 
 Run as::
 
@@ -23,9 +23,10 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.operational.explorer import Explorer, FrontierStore
+from repro.operational.explorer import Explorer
 from repro.operational.step import OperationalSemantics
 from repro.process.ast import Name
+from repro.sat.checker import SatChecker
 from repro.semantics.config import SemanticsConfig
 from repro.systems import copier, philosophers, protocol
 from repro.traces.snapshot import SnapshotCache, cache_key
@@ -65,26 +66,27 @@ def _explorer_case(name: str, system, proc: str, depth: int, sample: int) -> dic
         cold_closure, cold_states = _cold_explore(system, proc, depth, sample)
         cold_s = min(cold_s, time.perf_counter() - start)
 
+    def checker(directory: str) -> SatChecker:
+        cache = SnapshotCache(Path(directory), cache_key(defs, config))
+        return SatChecker(defs, env, config, engine="operational", cache=cache)
+
     with tempfile.TemporaryDirectory(prefix="repro-bench-explorer-") as tmp:
-        seed_cache = SnapshotCache(Path(tmp), cache_key(defs, config))
-        seed_store = FrontierStore(seed_cache, f"operational:{proc}")
-        semantics = OperationalSemantics(defs, env, sample=sample)
-        Explorer(semantics).visible_traces(Name(proc), depth, store=seed_store)
-        seed_cache.save()
+        seed = checker(tmp)
+        seed.traces_of(Name(proc))
+        seed.cache.save()
 
         warm = []
         for _ in range(WARM_RUNS):
-            cache = SnapshotCache(Path(tmp), cache_key(defs, config))
-            store = FrontierStore(cache, f"operational:{proc}")
-            explorer = Explorer(
-                OperationalSemantics(defs, env, sample=sample)
-            )
+            # Timed: opening (reading and decoding) the snapshot file and
+            # serving the closure slot — the whole warm re-run.
             start = time.perf_counter()
-            closure = explorer.visible_traces(Name(proc), depth, store=store)
+            warm_checker = checker(tmp)
+            closure = warm_checker.traces_of(Name(proc))
             warm.append(time.perf_counter() - start)
             if closure != cold_closure:
                 raise SystemExit(f"warm closure diverged on {name!r}")
-            warm_states = explorer.states_touched
+            explorer = warm_checker._operational
+            warm_states = explorer.states_touched if explorer is not None else 0
     warm_s = sorted(warm)[len(warm) // 2]  # median: damps GC spikes
     return {
         "case": name,
@@ -112,8 +114,9 @@ def generate() -> dict:
         cases.append(case)
     return {
         "description": (
-            "operational explorer warm restart from persisted "
-            "frontier:{name}@level{k} snapshot slots vs cold "
+            "warm operational query served from the cached "
+            "traces:operational:{name}:d{depth} closure slot (snapshot "
+            "file opened and decoded inside the timed region) vs cold "
             "breadth-first exploration (pointer-identical closures)"
         ),
         "python": sys.version.split()[0],

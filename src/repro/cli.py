@@ -28,11 +28,8 @@ verdicts are byte-identical either way), and solved closures are
 snapshotted under ``~/.cache/repro`` (override with ``--cache-dir``,
 disable with ``--no-cache``) so repeated invocations on the same system
 warm-start.
-``--engine operational`` warm-starts too: the explorer persists its BFS
-frontier per completed level (``frontier:{name}@level{k}`` slots in the
-same snapshot file), so a second run resumes from the deepest sound
-frontier instead of the initial state — ``repro stats`` reports the
-reuse as ``frontier_reused``.
+``--engine operational`` caches its explored closures in the same
+snapshot slots, so a repeated operational query skips the explorer too.
 ``check`` accepts ``--spec`` repeatedly: all assertions are checked
 against one warm solved system, verdicts printed in order, and the exit
 code is the first failing assertion's.  ``stats --explain-plan`` prints
@@ -204,8 +201,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if cache is not None:
             cache.save()
     if cache is not None:
-        # All branches report the cache account — the operational side's
-        # frontier slots hit/miss through the same counters.
+        # All branches report the cache account; both engines' closure
+        # slots hit/miss through the same counters.
         print(
             f"snapshot cache: {cache.hits} hits, {cache.misses} "
             f"misses{' (rebuilt: stale/corrupt)' if cache.rebuilt else ''}"

@@ -24,22 +24,18 @@ stopped instead of re-exploring from the initial configuration.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Deque, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from repro import serialize
-from repro.errors import BudgetExceeded, OperationalError, ReproError
+from repro.errors import BudgetExceeded, OperationalError
 from repro.operational.state import State
 from repro.operational.step import OperationalSemantics
 from repro.process.ast import Process
 from repro.runtime import faults as _faults
 from repro.runtime import governor as _governor
 from repro.runtime.governor import Checkpoint
-from repro.traces import stats as _stats
 from repro.traces.events import Event, Trace
 from repro.traces.prefix_closure import FiniteClosure
-from repro.traces.snapshot import SnapshotCache, frontier_slot
 
 
 class DeadlockReport(NamedTuple):
@@ -56,164 +52,6 @@ class DeadlockReport(NamedTuple):
             f"{len(self.deadlocks)} deadlock(s) to depth {self.completed_depth} "
             f"({status}, {self.states_touched} states touched)"
         )
-
-
-def _blob_key(obj: object) -> str:
-    """Deterministic sort key for events/states in a frontier blob —
-    equal frontiers must serialise to byte-identical payloads no matter
-    what set-iteration order this process happened to use."""
-    return json.dumps(serialize.encode(obj), sort_keys=True)
-
-
-class FrontierStore:
-    """Persisted explorer frontiers for one named term.
-
-    Every completed BFS level writes a ``frontier:{name}@level{k}`` slot
-    into the snapshot cache holding *two* values under one name: the
-    trace-closure root completed at level ``k`` (a plain closure slot,
-    format-2 segments) and a JSON blob with the serialised frontier
-    configurations (:mod:`repro.serialize` state codecs) that index into
-    the blob's own event/state tables.  Slot content is fully determined
-    by the cache key and the level — never by the budget that stopped a
-    run — so the slots are served in ``checkpoint_only`` (governed) mode
-    too.
-
-    Loading trusts nothing: the blob's tables must decode to real
-    events/configurations, every index must land, every frontier trace
-    must have length exactly ``k`` *and* be present in the closure root
-    stored beside it.  Any defect quarantines the whole snapshot file
-    (:meth:`SnapshotCache.reject`) and the run degrades to a cold,
-    correct exploration.
-
-    Both fault sites of the chaos suite live here: ``frontier_save``
-    fires *before* anything is recorded (an abort leaves only previously
-    completed levels), ``frontier_load`` fires before the cache is
-    consulted (a crash while warming never corrupts a run).
-    """
-
-    def __init__(self, cache: SnapshotCache, name: str) -> None:
-        self.cache = cache
-        self.name = name
-        #: Slots written by this store, in completion order — the sat
-        #: checker folds these into budget-trip checkpoints so a resumed
-        #: invocation knows which slots to trust.
-        self.written: List[str] = []
-
-    def save(
-        self,
-        frontier: Dict[Trace, FrozenSet[State]],
-        traces: Set[Trace],
-        level: int,
-        complete: bool,
-    ) -> None:
-        """Persist the frontier completed at BFS ``level`` (in memory;
-        the owning cache's ``save()`` writes the file)."""
-        _faults.maybe_fail("explorer.frontier_save")
-        slot = frontier_slot(self.name, level)
-        # Suspended governor: persistence must not spend the budget of
-        # the exploration it is checkpointing.
-        with _governor.suspended():
-            closure = FiniteClosure(frozenset(traces), _trusted=True)
-            events = sorted({e for t in frontier for e in t}, key=_blob_key)
-            states = sorted(
-                {s for group in frontier.values() for s in group}, key=_blob_key
-            )
-            eidx = {e: i for i, e in enumerate(events)}
-            sidx = {s: i for i, s in enumerate(states)}
-            entries = sorted(
-                (
-                    ([eidx[e] for e in trace], sorted(sidx[s] for s in group))
-                    for trace, group in frontier.items()
-                ),
-            )
-            blob = {
-                "level": level,
-                "complete": bool(complete),
-                "events": [serialize.encode(e) for e in events],
-                "states": [serialize.encode(s) for s in states],
-                "frontier": [[t, s] for t, s in entries],
-            }
-            self.cache.put(slot, closure.root)
-            self.cache.put_blob(slot, blob)
-        if slot not in self.written:
-            self.written.append(slot)
-        _stats.KERNEL_STATS.frontier_saved += 1
-
-    def load(
-        self, depth: int
-    ) -> Optional[Tuple[Dict[Trace, FrozenSet[State]], FiniteClosure, int, bool]]:
-        """The deepest sound frontier at level ≤ ``depth``, or ``None``.
-
-        Returns ``(frontier, closure, level, complete)``; ``complete``
-        means the exploration saturated at ``level`` (no deeper visible
-        step exists), so ``closure`` is the full answer for *any* depth.
-        """
-        _faults.maybe_fail("explorer.frontier_load")
-        with _governor.suspended():
-            for level in range(depth, -1, -1):
-                slot = frontier_slot(self.name, level)
-                blob = self.cache.get_blob(slot)
-                if blob is None:
-                    continue
-                node = self.cache.get(slot)
-                if node is None:
-                    continue
-                decoded = _validate_frontier(blob, node, level)
-                if decoded is None:
-                    # Structurally plausible but semantically corrupt:
-                    # quarantine the evidence, rebuild cold.
-                    self.cache.reject()
-                    return None
-                _stats.KERNEL_STATS.frontier_reused += 1
-                return decoded
-        return None
-
-
-def _validate_frontier(
-    blob: dict, node, level: int
-) -> Optional[Tuple[Dict[Trace, FrozenSet[State]], FiniteClosure, int, bool]]:
-    """Decode and fully verify one frontier blob against its closure
-    root; ``None`` on any defect (the caller quarantines)."""
-    try:
-        complete = blob.get("complete")
-        if blob.get("level") != level or not isinstance(complete, bool):
-            return None
-        events = [serialize.decode(e) for e in blob["events"]]
-        states = [serialize.decode(s) for s in blob["states"]]
-        if not all(isinstance(e, Event) for e in events):
-            return None
-        if not all(isinstance(s, State) for s in states):
-            return None
-        closure = FiniteClosure.from_node(node)
-        frontier: Dict[Trace, FrozenSet[State]] = {}
-        for entry in blob["frontier"]:
-            tpart, spart = entry
-            if not all(
-                isinstance(i, int) and 0 <= i < len(events) for i in tpart
-            ):
-                return None
-            if not all(
-                isinstance(i, int) and 0 <= i < len(states) for i in spart
-            ):
-                return None
-            trace = tuple(events[i] for i in tpart)
-            if len(trace) != level or trace in frontier or not spart:
-                return None
-            if trace not in closure:
-                return None
-            frontier[trace] = frozenset(states[i] for i in spart)
-        if not frontier:
-            return None
-        return frontier, closure, level, complete
-    except (
-        serialize.SerializationError,
-        ReproError,
-        KeyError,
-        IndexError,
-        TypeError,
-        ValueError,
-    ):
-        return None
 
 
 class Explorer:
@@ -274,7 +112,6 @@ class Explorer:
         term: Process,
         depth: int,
         resume: Optional[Checkpoint] = None,
-        store: Optional[FrontierStore] = None,
     ) -> FiniteClosure:
         """Every visible trace of length ≤ ``depth``.
 
@@ -284,14 +121,6 @@ class Explorer:
         :class:`~repro.errors.BudgetExceeded` whose checkpoint holds every
         trace of length ≤ ``completed_depth`` — a sound under-approximation
         — plus the frontier needed to resume.
-
-        ``store`` enables *cross-run* warm restarts: exploration resumes
-        from the deepest persisted frontier (``resume`` wins when both
-        are given — an in-process checkpoint is at least as deep), and
-        every completed level is persisted back, including a
-        ``complete`` marker when the search saturates before ``depth``.
-        The result is pointer-identical to a cold run's: both intern the
-        same trace set.
         """
         self._begin()
         frontier: Dict[Trace, FrozenSet[State]] = {}
@@ -301,20 +130,9 @@ class Explorer:
             if resume is not None:
                 frontier, traces, level = _restore(resume)
             else:
-                warm = store.load(depth) if store is not None else None
-                if warm is not None:
-                    frontier, closure, level, complete = warm
-                    if complete or level >= depth:
-                        # Saturated (full answer at any depth) or already
-                        # at the requested horizon: zero exploration.
-                        return closure
-                    traces = set(closure.traces)
-                else:
-                    initial = self.semantics.initial_state(term)
-                    frontier = {(): self.tau_closure(initial)}
-                    traces = {()}
-                    if store is not None:
-                        store.save(frontier, traces, 0, complete=False)
+                initial = self.semantics.initial_state(term)
+                frontier = {(): self.tau_closure(initial)}
+                traces = {()}
             for level in range(level, depth):
                 governor = _governor.current()
                 if governor is not None:
@@ -334,16 +152,9 @@ class Explorer:
                                 self.tau_closure(successor)
                             )
                 if not next_frontier:
-                    if store is not None:
-                        # No visible step extends any frontier trace: the
-                        # closure is saturated — re-mark this level's slot
-                        # complete so deeper queries skip exploration.
-                        store.save(frontier, traces, level, complete=True)
                     break
                 frontier = {t: frozenset(s) for t, s in next_frontier.items()}
                 traces.update(frontier)
-                if store is not None:
-                    store.save(frontier, traces, level + 1, complete=False)
         except BudgetExceeded as exc:
             raise exc.with_checkpoint(
                 self._checkpoint("explore", frontier, traces, level, exc)

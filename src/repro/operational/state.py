@@ -111,53 +111,6 @@ class ChanState(State):
         return f"(chan {inner}; {self.body!r})"
 
 
-# -- serialization ----------------------------------------------------------
-#
-# Configurations ride snapshot blobs (persisted explorer frontiers), so
-# they register with :mod:`repro.serialize` like every other AST.  The
-# registration lives here rather than in ``serialize.py`` because the
-# operational package imports the snapshot layer, which imports
-# ``serialize`` — registering from the other side would close an import
-# cycle.  Channel sets encode as *sorted* lists so equal states produce
-# byte-identical payloads.
-
-from repro import serialize as _serialize
-
-_serialize._register(
-    LeafState,
-    lambda n: _serialize._k(n, term=_serialize.encode(n.term)),
-    lambda d: LeafState(_serialize.decode(d["term"])),
-)
-_serialize._register(
-    ParallelState,
-    lambda n: _serialize._k(
-        n,
-        left=_serialize.encode(n.left),
-        right=_serialize.encode(n.right),
-        x=[_serialize.encode(c) for c in sorted(n.x)],
-        y=[_serialize.encode(c) for c in sorted(n.y)],
-    ),
-    lambda d: ParallelState(
-        _serialize.decode(d["left"]),
-        _serialize.decode(d["right"]),
-        frozenset(_serialize.decode(c) for c in d["x"]),
-        frozenset(_serialize.decode(c) for c in d["y"]),
-    ),
-)
-_serialize._register(
-    ChanState,
-    lambda n: _serialize._k(
-        n,
-        hidden=[_serialize.encode(c) for c in sorted(n.hidden)],
-        body=_serialize.encode(n.body),
-    ),
-    lambda d: ChanState(
-        frozenset(_serialize.decode(c) for c in d["hidden"]),
-        _serialize.decode(d["body"]),
-    ),
-)
-
-
 def lift(
     term: Process,
     definitions: DefinitionList,

@@ -65,9 +65,9 @@ def render_partial(exc: BudgetExceeded) -> str:
     if checkpoint is not None:
         lines.append(f"partial result: {checkpoint.describe()}")
         if checkpoint.resume_slots():
-            # Both engines persist deterministic checkpoint slots now
-            # (fix:/frontier:/forall: vocabularies) — tell the user the
-            # trip is resumable, not just how far it got.
+            # Both engines persist deterministic ``fix:…@level{k}``
+            # checkpoint slots — tell the user the trip is resumable, not
+            # just how far it got.
             lines.append(
                 "resume: re-invoke with the same cache directory to "
                 "continue from the persisted checkpoints"

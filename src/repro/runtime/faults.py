@@ -42,13 +42,6 @@ SITES = (
     "serve.dispatch",
     "serve.worker_exit",
     "snapshot.write",
-    # operational warm restarts (PR 10): the explorer's frontier
-    # persistence path.  ``frontier_save`` fires *before* any slot is
-    # written (an abort must leave only previously completed levels on
-    # disk); ``frontier_load`` fires before a warm restart consults the
-    # cache (a crash while warming must degrade to a cold, correct run).
-    "explorer.frontier_save",
-    "explorer.frontier_load",
 )
 
 

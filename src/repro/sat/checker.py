@@ -45,8 +45,7 @@ from repro.traces.events import Trace
 from repro.traces.histories import ChannelHistory, ch
 from repro.errors import SemanticsError
 from repro.traces.prefix_closure import FiniteClosure
-from repro.traces.snapshot import SnapshotCache, checkpoint_slot, forall_slot
-from repro.traces.stats import KERNEL_STATS
+from repro.traces.snapshot import SnapshotCache, checkpoint_slot
 from repro.traces.trie import delta_depth
 from repro.values.domains import Domain
 from repro.values.environment import Environment
@@ -130,10 +129,8 @@ class SatChecker:
         self._checkpoint_slots: List[str] = []
         #: lazily-built operational supply (one explorer per checker: the
         #: τ-closure memo holds only completed closures, so sharing it
-        #: across depths and instances is sound) and its per-target
-        #: frontier stores.
-        self._operational: Optional[object] = None
-        self._frontier_stores: Dict[str, object] = {}
+        #: across depths and instances is sound).
+        self._operational: Optional[Any] = None
 
     # -- trace supply ------------------------------------------------------
 
@@ -141,16 +138,14 @@ class SatChecker:
         self, process: Process, depth: Optional[int] = None
     ) -> FiniteClosure:
         """The bounded trace set of ``process`` under the chosen engine
-        (``depth`` overrides the configured bound, e.g. for deepening)."""
+        (``depth`` overrides the configured bound, e.g. for deepening).
+
+        With a cache, a named target's closure is cached under
+        ``traces:{engine}:{name}:d{depth}`` (ungoverned) or
+        ``fix:{engine}:{name}@level{k}`` (governed), whichever engine
+        computes it: both yield the same §3 bounded trace set."""
         if depth is None:
             depth = self.config.depth
-        if self.engine == "operational":
-            # The operational side caches through *frontier* slots (the
-            # explorer's own warm-restart vocabulary), not whole-closure
-            # node slots: a warm run must still enter the explorer so a
-            # deeper request extends the persisted frontier instead of
-            # missing a depth-keyed slot and re-exploring from scratch.
-            return self._operational_traces(process, depth)
         slot = None
         if self.cache is not None and isinstance(process, Name):
             if getattr(self.cache, "checkpoint_only", False):
@@ -186,34 +181,16 @@ class SatChecker:
             return Denoter(self.definitions, self.env, self.config).denote(
                 process, depth
             )
-        return self._operational_traces(process, depth)
-
-    def _operational_traces(self, process: Process, depth: int) -> FiniteClosure:
-        """Explorer-backed trace supply with persisted-frontier warm
-        restarts for named targets (anonymous terms — e.g. ``q[i]``
-        instances — explore without a store; their universal check
-        persists per-instance ``forall:`` slots instead)."""
-        from repro.operational.explorer import Explorer, FrontierStore
-        from repro.operational.step import OperationalSemantics
-
         if self._operational is None:
-            semantics = OperationalSemantics(
-                self.definitions, self.env, sample=self.config.sample
+            from repro.operational.explorer import Explorer
+            from repro.operational.step import OperationalSemantics
+
+            self._operational = Explorer(
+                OperationalSemantics(
+                    self.definitions, self.env, sample=self.config.sample
+                )
             )
-            self._operational = Explorer(semantics)
-        explorer: Explorer = self._operational  # type: ignore[assignment]
-        store = None
-        if self.cache is not None and isinstance(process, Name):
-            store = self._frontier_stores.get(process.name)
-            if store is None:
-                store = FrontierStore(self.cache, f"{self.engine}:{process.name}")
-                self._frontier_stores[process.name] = store
-        closure = explorer.visible_traces(process, depth, store=store)
-        if store is not None:
-            for slot in store.written:
-                if slot not in self._checkpoint_slots:
-                    self._checkpoint_slots.append(slot)
-        return closure
+        return self._operational.visible_traces(process, depth)
 
     def _fixpoint_bindings(self, process: Process, depth: int) -> Optional[dict]:
         """Engine-solved bindings, when substituting them for
@@ -535,81 +512,23 @@ class SatChecker:
         process_for: "ProcessFactory",
         assertion: Union[Formula, str],
         sample: Optional[int] = None,
-        name: Optional[str] = None,
     ) -> SatResult:
         """Check ``∀v ∈ M. P(v) sat R`` over a sampled domain.
 
         ``process_for(value)`` builds the process instance (e.g.
         ``q[value]``); the variable is also bound in the assertion's
         environment, so ``R`` may mention it.
-
-        With a ``name`` and a snapshot cache, every instance verified *at
-        the configured depth* writes a ``forall:{name}@instance{i}``
-        checkpoint slot; a later invocation (after a budget trip, say)
-        skips those instances wholesale, keeping the final verdict bytes
-        identical to an uninterrupted run.  Slots are written only for
-        instances completed at full depth — deterministic given the
-        cache key, never a function of where a budget tripped — and
-        violations are never recorded (a refutation is re-derived so its
-        counterexample is always fresh).
         """
         limit = sample if sample is not None else self.config.sample
-        formula_template = assertion
         total = 0
-        cache = self.cache if name is not None else None
-        for index, value in enumerate(domain.enumerate(limit)):
-            slot = None
-            if cache is not None:
-                slot = forall_slot(f"{self.engine}:{name}:{variable}", index)
-                stored = cache.get_blob(slot)
-                if stored is not None:
-                    counted = self._stored_forall_instance(stored)
-                    if counted is None:
-                        # Structurally a blob, semantically garbage:
-                        # quarantine the file and verify this run cold.
-                        cache.reject()
-                    else:
-                        total += counted
-                        KERNEL_STATS.forall_resumed += 1
-                        if slot not in self._checkpoint_slots:
-                            self._checkpoint_slots.append(slot)
-                        continue
+        for value in domain.enumerate(limit):
             process = process_for(value)
-            formula = self._coerce(formula_template, process)
+            formula = self._coerce(assertion, process)
             result = self.check(process, formula, bindings={variable: value})
             total += result.traces_checked
             if not result.holds:
                 return SatResult(False, result.counterexample, total)
-            if slot is not None and (
-                result.verified_depth is None
-                or result.verified_depth >= self.config.depth
-            ):
-                cache.put_blob(
-                    slot,
-                    {
-                        "holds": True,
-                        "traces_checked": result.traces_checked,
-                        "verified_depth": self.config.depth,
-                    },
-                )
-                if slot not in self._checkpoint_slots:
-                    self._checkpoint_slots.append(slot)
         return SatResult(True, None, total)
-
-    @staticmethod
-    def _stored_forall_instance(blob: dict) -> Optional[int]:
-        """The ``traces_checked`` of a recorded verified instance, or
-        ``None`` when the blob's content is not credible."""
-        count = blob.get("traces_checked")
-        if (
-            blob.get("holds") is True
-            and isinstance(count, int)
-            and not isinstance(count, bool)
-            and count >= 0
-            and isinstance(blob.get("verified_depth"), int)
-        ):
-            return count
-        return None
 
     def _coerce(self, assertion: Union[Formula, str], process: Process) -> Formula:
         if isinstance(assertion, Formula):

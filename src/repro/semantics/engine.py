@@ -872,8 +872,7 @@ class DenotationEngine:
 
 
 def _slot(entry: EntryKey) -> str:
-    # Slot vocabulary lives with the cache (`traces/snapshot.py`), shared
-    # with the operational side's `frontier:`/`forall:` families.
+    # Slot vocabulary lives with the cache (`traces/snapshot.py`).
     return fix_slot(entry.pretty())
 
 

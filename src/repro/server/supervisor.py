@@ -152,11 +152,9 @@ class Supervisor:
         self._threads: List[threading.Thread] = []
         self._spawn_lock = threading.Lock()
         self._generation = 0
-        #: situation → ``{"roots": ..., "blobs": ...}`` — solved-system
-        #: root segments (flat format-2 payloads) plus checkpoint blobs
-        #: (explorer frontiers, forall receipts), harvested from worker
-        #: responses and shipped to siblings before their first dispatch
-        #: of that situation.
+        #: situation → solved-system root segments (a flat format-2
+        #: payload), harvested from worker responses and shipped to
+        #: siblings before their first dispatch of that situation.
         self._shared: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._shared_lock = threading.Lock()
         # observability counters (reported by the ``stats`` op)
@@ -497,19 +495,15 @@ class Supervisor:
             return
         situation = protocol.situation(request)
         with self._shared_lock:
-            entry = self._shared.get(situation)
-            if entry is not None:
+            roots = self._shared.get(situation)
+            if roots is not None:
                 self._shared.move_to_end(situation)
-        if entry is None or situation in worker.shipped:
+        if roots is None or situation in worker.shipped:
             return
-        frame = {
-            "op": "warm",
-            "situation": situation,
-            "roots": entry["roots"],
-        }
-        if entry.get("blobs"):
-            frame["blobs"] = entry["blobs"]
-        protocol.send_frame(worker.stream, frame)
+        protocol.send_frame(
+            worker.stream,
+            {"op": "warm", "situation": situation, "roots": roots},
+        )
         ack = protocol.recv_frame(worker.stream)
         if ack is None:
             raise ServerError(
@@ -534,18 +528,13 @@ class Supervisor:
         roots = solved.get("roots")
         if not situation or not isinstance(roots, dict):
             return
-        blobs = solved.get("blobs")
         worker.shipped.add(situation)
         with self._shared_lock:
             # Workers export their whole slot map whenever it grew, so a
             # newer frame is always a superset: replace wholesale (two
             # segment payloads cannot be merged — root ids are local to
-            # each frame's node tables).  Checkpoint blobs ride along
-            # under the same replace-wholesale rule.
-            self._shared[situation] = {
-                "roots": roots,
-                "blobs": blobs if isinstance(blobs, dict) else {},
-            }
+            # each frame's node tables).
+            self._shared[situation] = roots
             self._shared.move_to_end(situation)
             while len(self._shared) > SHARED_SYSTEMS_SIZE:
                 self._shared.popitem(last=False)

@@ -59,10 +59,8 @@ _CHECKERS: "OrderedDict[str, Any]" = OrderedDict()
 #: seeded into the next checker built for that situation.
 _WARM_ROOTS: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 
-#: Checkpoint blobs (explorer frontiers, ``forall`` instance receipts)
-#: riding the same ``warm`` frames, keyed by situation.  Blobs are plain
-#: JSON dicts — no splicing needed — but they are only trusted after the
-#: consumer's own validation, exactly like blobs read from disk.
+#: Always empty (nothing writes it); kept because
+#: ``benchmarks/e2e/spans.py`` clears it.
 _WARM_BLOBS: "OrderedDict[str, Dict[str, dict]]" = OrderedDict()
 
 
@@ -79,17 +77,10 @@ class MemoryRootsCache:
     #: Never checkpoint-only — governed requests bypass sharing entirely.
     checkpoint_only = False
 
-    def __init__(
-        self,
-        inner: Any = None,
-        seed: Optional[Dict[str, Any]] = None,
-        seed_blobs: Optional[Dict[str, dict]] = None,
-    ):
+    def __init__(self, inner: Any = None, seed: Optional[Dict[str, Any]] = None):
         self.inner = inner
         self.roots: Dict[str, Any] = dict(seed or {})
-        self.blobs: Dict[str, dict] = dict(seed_blobs or {})
         self.fresh: Dict[str, Any] = {}
-        self.fresh_blobs: Dict[str, dict] = {}
         self.hits = 0
         self.misses = 0
 
@@ -115,53 +106,15 @@ class MemoryRootsCache:
         if self.inner is not None:
             self.inner.put(slot, root)
 
-    def get_blob(self, slot: str):
-        blob = self.blobs.get(slot)
-        if blob is None and self.inner is not None:
-            blob = self.inner.get_blob(slot)
-            if blob is not None:
-                self.blobs[slot] = blob
-        if blob is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return blob
-
-    def put_blob(self, slot: str, blob: dict) -> None:
-        self.blobs[slot] = blob
-        self.fresh_blobs[slot] = blob
-        if self.inner is not None:
-            self.inner.put_blob(slot, blob)
-
-    def reject(self) -> None:
-        """A consumer found adopted or cached content invalid: drop the
-        in-memory layer entirely (nothing here is trusted any more) and
-        quarantine the disk layer if there is one."""
-        self.roots.clear()
-        self.blobs.clear()
-        self.fresh.clear()
-        self.fresh_blobs.clear()
-        if self.inner is not None:
-            self.inner.reject()
-
-    def adopt(
-        self, roots: Dict[str, Any], blobs: Optional[Dict[str, dict]] = None
-    ) -> None:
+    def adopt(self, roots: Dict[str, Any]) -> None:
         """Merge spliced sibling roots (never overwriting local solves,
         and never re-exported — the pool already has them)."""
         for slot, node in roots.items():
             self.roots.setdefault(slot, node)
-        for slot, blob in (blobs or {}).items():
-            self.blobs.setdefault(slot, blob)
 
     def take_fresh(self) -> Dict[str, Any]:
         """Roots solved locally since the last export (and reset)."""
         fresh, self.fresh = self.fresh, {}
-        return fresh
-
-    def take_fresh_blobs(self) -> Dict[str, dict]:
-        """Blobs written locally since the last export (and reset)."""
-        fresh, self.fresh_blobs = self.fresh_blobs, {}
         return fresh
 
     def save(self) -> None:
@@ -182,9 +135,7 @@ def _checker_for(defs: Any, request: Dict[str, Any], governed: bool):
     checker = query.open_checker(defs, request, governed)
     # Ungoverned checkers cache through the shared-roots layer, so a
     # system a sibling worker already solved warm-starts here too.
-    checker.cache = MemoryRootsCache(
-        checker.cache, _WARM_ROOTS.get(key), _WARM_BLOBS.get(key)
-    )
+    checker.cache = MemoryRootsCache(checker.cache, _WARM_ROOTS.get(key))
     _CHECKERS[key] = checker
     while len(_CHECKERS) > CHECKER_POOL_SIZE:
         _CHECKERS.popitem(last=False)
@@ -229,20 +180,15 @@ def run_query(request: Dict[str, Any]) -> Dict[str, Any]:
         response["verdicts"] = list(answer.verdicts)
     if answer.resume_slots:
         response["resume_slots"] = list(answer.resume_slots)
-    if isinstance(cache, MemoryRootsCache) and (
-        cache.take_fresh() or cache.take_fresh_blobs()
-    ):
+    if isinstance(cache, MemoryRootsCache) and cache.take_fresh():
         # Export the *whole* slot map, not just the fresh slots — each
         # segment frame must be self-contained (root ids are local to
         # its node tables), and the supervisor replaces frames wholesale.
-        # Checkpoint blobs (explorer frontiers, forall receipts) ride the
-        # same frame so a sibling's warm restart skips re-exploration too.
         from repro.traces.snapshot import export_segments
 
         response["solved"] = {
             "situation": protocol.situation(request),
             "roots": export_segments(cache.roots),
-            "blobs": dict(cache.blobs),
         }
     return response
 
@@ -263,14 +209,6 @@ def adopt_roots(request: Dict[str, Any]) -> Dict[str, Any]:
     situation = request.get("situation")
     if not situation or not isinstance(request.get("roots"), dict):
         raise ServerError("warm request carries no situation or roots")
-    blobs = request.get("blobs")
-    if blobs is not None and (
-        not isinstance(blobs, dict)
-        or not all(
-            isinstance(k, str) and isinstance(v, dict) for k, v in blobs.items()
-        )
-    ):
-        raise ServerError("warm request carries malformed blobs")
     roots = splice_segments(request["roots"])
     known = _WARM_ROOTS.setdefault(situation, {})
     for slot, node in roots.items():
@@ -278,21 +216,14 @@ def adopt_roots(request: Dict[str, Any]) -> Dict[str, Any]:
     _WARM_ROOTS.move_to_end(situation)
     while len(_WARM_ROOTS) > CHECKER_POOL_SIZE:
         _WARM_ROOTS.popitem(last=False)
-    if blobs:
-        known_blobs = _WARM_BLOBS.setdefault(situation, {})
-        for slot, blob in blobs.items():
-            known_blobs.setdefault(slot, blob)
-        _WARM_BLOBS.move_to_end(situation)
-        while len(_WARM_BLOBS) > CHECKER_POOL_SIZE:
-            _WARM_BLOBS.popitem(last=False)
     cached = _CHECKERS.get(situation)
     if cached is not None and isinstance(cached.cache, MemoryRootsCache):
-        cached.cache.adopt(roots, blobs)
+        cached.cache.adopt(roots)
     return {
         "id": rid,
         "status": "OK",
         "exit_code": 0,
-        "adopted": len(roots) + len(blobs or ()),
+        "adopted": len(roots),
         "pid": os.getpid(),
     }
 

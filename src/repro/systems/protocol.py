@@ -141,14 +141,11 @@ def check_all(
     from repro.process.ast import ArrayRef
     from repro.values.expressions import Const
 
-    # Named so governed runs persist ``forall:…:q:x@instance{i}`` receipts
-    # and a re-invocation resumes from the first unverified message.
     results["q"] = checker.check_forall(
         "x",
         FiniteDomain(messages),
         lambda v: ArrayRef("q", Const(v)),
         specs["q"],
-        name="q",
     )
     return results
 

@@ -75,7 +75,7 @@ import tempfile
 from array import array
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro import serialize
 from repro.errors import ReproError
@@ -510,21 +510,6 @@ def _decode_bulk(
     return ids_np.tolist()
 
 
-def _decode_blobs(data: Any) -> Dict[str, dict]:
-    """Structural check of a snapshot's blob table: absent is fine, and
-    present means an object mapping slot names to objects.  Content
-    validation (are the states decodable? do indices land?) belongs to
-    the consumer, which calls :meth:`SnapshotCache.reject` on defects."""
-    if data is None:
-        return {}
-    if not isinstance(data, dict):
-        raise SnapshotError("blob table is not an object")
-    for slot, blob in data.items():
-        if not isinstance(slot, str) or not isinstance(blob, dict):
-            raise SnapshotError(f"bad blob entry {slot!r}")
-    return dict(data)
-
-
 def export_segments(roots: Dict[str, ClosureNode]) -> dict:
     """Encode ``roots`` as a flat segment payload for *in-memory*
     shipping — over a worker-process pipe or a serve-pool socket —
@@ -575,17 +560,11 @@ def cache_key(definitions: Any, config: Any, extra: Any = None) -> str:
 
 #: Budget-aware checkpoint slots.  ``fix:{name}@level{k}`` holds the
 #: closure of ``name`` completed at depth ``k`` of a governed run's
-#: deepening schedule; ``frontier:{name}@level{k}`` holds the explorer's
-#: visible-trace closure completed at BFS level ``k`` (plus a state blob,
-#: see :meth:`SnapshotCache.put_blob`); ``forall:{name}@instance{i}``
-#: records one verified instance of a universal check.  Each slot's
+#: deepening schedule, whichever engine computed it.  Each slot's
 #: content is fully determined by the definitions and config (the cache
-#: key) and the level/instance — never by the budget that interrupted
-#: the run — so serving these slots keeps governed invocations
-#: deterministic.
-_CHECKPOINT_SLOT = re.compile(
-    r"(?:fix|frontier):.+@level\d+\Z|forall:.+@instance\d+\Z"
-)
+#: key) and the level — never by the budget that interrupted the run —
+#: so serving these slots keeps governed invocations deterministic.
+_CHECKPOINT_SLOT = re.compile(r"fix:.+@level\d+\Z")
 
 
 def fix_slot(name: str) -> str:
@@ -600,21 +579,9 @@ def checkpoint_slot(name: str, level: int) -> str:
     return f"fix:{name}@level{level}"
 
 
-def frontier_slot(name: str, level: int) -> str:
-    """The slot holding ``name``'s explorer frontier completed at BFS
-    level ``level`` (trace-closure root + serialised frontier states)."""
-    return f"frontier:{name}@level{level}"
-
-
-def forall_slot(name: str, instance: int) -> str:
-    """The slot recording that instance ``instance`` of the universal
-    check ``name`` verified at the configured depth."""
-    return f"forall:{name}@instance{instance}"
-
-
 def is_checkpoint_slot(slot: str) -> bool:
-    """True for slots in the deterministic checkpoint vocabularies
-    (``fix:…@level{k}``, ``frontier:…@level{k}``, ``forall:…@instance{i}``)."""
+    """True for slots in the deterministic checkpoint vocabulary
+    (``fix:…@level{k}``)."""
     return _CHECKPOINT_SLOT.match(slot) is not None
 
 
@@ -627,20 +594,11 @@ class SnapshotCache:
     directories.
 
     With ``checkpoint_only=True`` (governed runs) the cache serves and
-    records **only** checkpoint slots (``fix:{name}@level{k}``,
-    ``frontier:{name}@level{k}``, ``forall:{name}@instance{i}``): those
-    are per-completed-step values of a deepening schedule, deterministic
-    regardless of where a budget tripped, while the full-depth slot
-    vocabulary is reserved for ungoverned runs whose results are always
-    complete.
-
-    Beside closure roots, slots may carry **blobs** — small
-    JSON-compatible dicts (serialised explorer states, verified
-    ``forall`` instances) stored under the same names and the same
-    key/quarantine discipline.  Blob *structure* is validated here (an
-    object of objects); blob *content* is validated by the consumer,
-    which calls :meth:`reject` on anything defective so the evidence is
-    quarantined exactly like a torn file.
+    records **only** checkpoint slots (``fix:{name}@level{k}``): those
+    are per-completed-depth closures of a deepening schedule,
+    deterministic regardless of where a budget tripped, while the
+    full-depth slot vocabulary is reserved for ungoverned runs whose
+    results are always complete.
     """
 
     def __init__(
@@ -657,7 +615,6 @@ class SnapshotCache:
         self.quarantined = False
         self._dirty = False
         self._roots: Dict[str, ClosureNode] = {}
-        self._blobs: Dict[str, dict] = {}
         self._load()
 
     def _load(self) -> None:
@@ -666,19 +623,16 @@ class SnapshotCache:
         except OSError:
             return
         try:
-            self._roots, self._blobs = self._decode_file(raw)
+            self._roots = self._decode_file(raw)
             self.loaded = True
         except (json.JSONDecodeError, SnapshotError, ReproError):
             # Corrupted, stale, or foreign snapshot: rebuild from scratch
             # and move the evidence aside so it is never read again.
             self._roots = {}
-            self._blobs = {}
             self.rebuilt = True
             self._quarantine()
 
-    def _decode_file(
-        self, raw: str
-    ) -> Tuple[Dict[str, ClosureNode], Dict[str, dict]]:
+    def _decode_file(self, raw: str) -> Dict[str, ClosureNode]:
         """Decode one snapshot file's text, rejecting anything that is
         not *this* cache key in a known format."""
         data = json.loads(raw)
@@ -689,7 +643,7 @@ class SnapshotCache:
         fmt = data.get("format")
         if fmt != FORMAT_VERSION:
             raise SnapshotError(f"format {fmt!r}")
-        return decode_roots(data), _decode_blobs(data.get("blobs"))
+        return decode_roots(data)
 
     def _quarantine(self) -> None:
         """Move the defective file to ``<cache>/quarantine/`` — rebuilt,
@@ -721,40 +675,6 @@ class SnapshotCache:
             self._roots[slot] = node
             self._dirty = True
 
-    def get_blob(self, slot: str) -> Optional[dict]:
-        """The JSON blob stored under ``slot``, or ``None`` (same
-        checkpoint-only gating as :meth:`get`)."""
-        if self.checkpoint_only and not is_checkpoint_slot(slot):
-            self.misses += 1
-            return None
-        blob = self._blobs.get(slot)
-        if blob is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return blob
-
-    def put_blob(self, slot: str, blob: dict) -> None:
-        """Record a JSON-compatible dict under ``slot`` (persisted on the
-        next :meth:`save`, merged like closure slots)."""
-        if self.checkpoint_only and not is_checkpoint_slot(slot):
-            return
-        if self._blobs.get(slot) != blob:
-            self._blobs[slot] = blob
-            self._dirty = True
-
-    def reject(self) -> None:
-        """Consumer-detected corruption: a blob decoded structurally but
-        its *content* failed validation (undecodable state, index out of
-        bounds, frontier/closure mismatch).  Quarantine the file and drop
-        everything loaded from it — the caller rebuilds cold, exactly as
-        if the file had been torn."""
-        self._roots = {}
-        self._blobs = {}
-        self._dirty = False
-        self.rebuilt = True
-        self._quarantine()
-
     def __len__(self) -> int:
         return len(self._roots)
 
@@ -785,7 +705,7 @@ class SnapshotCache:
         finally:
             os.close(fd)
 
-    def _disk_state(self) -> Tuple[Dict[str, ClosureNode], Dict[str, dict]]:
+    def _disk_state(self) -> Dict[str, ClosureNode]:
         """Slots currently on disk — possibly written by another process
         since we loaded.  Folding them into our save turns concurrent
         writers into a slot *union* (no lost update); a defective disk
@@ -793,11 +713,11 @@ class SnapshotCache:
         try:
             raw = self.path.read_text(encoding="utf-8")
         except OSError:
-            return {}, {}
+            return {}
         try:
             return self._decode_file(raw)
         except (json.JSONDecodeError, SnapshotError, ReproError):
-            return {}, {}
+            return {}
 
     def save(self) -> None:
         """Persist atomically and durably (temp file + ``fsync`` +
@@ -815,14 +735,11 @@ class SnapshotCache:
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
             with self._writer_lock(), _governor.suspended():
-                merged, merged_blobs = self._disk_state()
+                merged = self._disk_state()
                 merged.update(self._roots)
-                merged_blobs.update(self._blobs)
                 data = encode_roots(merged)
                 data["format"] = FORMAT_VERSION
                 data["key"] = self.key
-                if merged_blobs:
-                    data["blobs"] = merged_blobs
                 blob = json.dumps(data, separators=(",", ":"))
                 _faults.maybe_fail("snapshot.write")
                 fd, tmp = tempfile.mkstemp(

@@ -62,9 +62,6 @@ class KernelStats:
         "spliced_ids",
         "spliced_bytes",
         "remap_entries",
-        "frontier_saved",
-        "frontier_reused",
-        "forall_resumed",
     )
 
     def __init__(self) -> None:
@@ -90,14 +87,6 @@ class KernelStats:
         #: foreign-id → canonical-id tables built when closures cross
         #: kernel states.
         self.remap_entries = 0
-        #: Explorer frontier levels persisted to checkpoint slots.
-        self.frontier_saved = 0
-        #: Warm restarts: explorer runs seeded from a persisted frontier
-        #: instead of the initial state.
-        self.frontier_reused = 0
-        #: ``check_forall`` instances skipped because a
-        #: ``forall:{name}@instance{i}`` slot recorded them as verified.
-        self.forall_resumed = 0
 
     # -- recording ---------------------------------------------------------
 
@@ -188,11 +177,6 @@ class KernelStats:
                 "bytes": self.spliced_bytes,
                 "remap_entries": self.remap_entries,
             },
-            "frontiers": {
-                "saved": self.frontier_saved,
-                "reused": self.frontier_reused,
-                "forall_resumed": self.forall_resumed,
-            },
         }
 
     def reset(self) -> None:
@@ -207,9 +191,6 @@ class KernelStats:
         self.spliced_ids = 0
         self.spliced_bytes = 0
         self.remap_entries = 0
-        self.frontier_saved = 0
-        self.frontier_reused = 0
-        self.forall_resumed = 0
 
 
 #: The process-wide counter registry.
@@ -265,12 +246,5 @@ def format_stats() -> str:
             f"  spliced segments: {spliced['ids']} ids in "
             f"{spliced['bytes']} bytes appended via bulk splice, "
             f"{spliced['remap_entries']} remap-table entries"
-        )
-    frontiers = snap["frontiers"]
-    if frontiers["saved"] or frontiers["reused"] or frontiers["forall_resumed"]:
-        lines.append(
-            f"  operational frontiers: frontier_saved={frontiers['saved']} "
-            f"frontier_reused={frontiers['reused']} "
-            f"forall_resumed={frontiers['forall_resumed']}"
         )
     return "\n".join(lines)

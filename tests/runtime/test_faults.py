@@ -91,12 +91,6 @@ class TestPlans:
         for site in ("serve.dispatch", "serve.worker_exit", "snapshot.write"):
             assert site in faults.SITES
 
-    def test_frontier_sites_are_registered(self):
-        # PR 10 trigger sites: the explorer's persisted-frontier path,
-        # depended on by the differential harness's abort-safety sweep.
-        for site in ("explorer.frontier_save", "explorer.frontier_load"):
-            assert site in faults.SITES
-
     def test_parse_plan_site_and_count(self):
         plan = faults.parse_plan("serve.worker_exit:3")
         assert plan.site == "serve.worker_exit"

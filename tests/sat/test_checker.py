@@ -268,8 +268,10 @@ class TestEngineEligibility:
 
 
 class TestGovernedCheckpointResume:
-    """Budget trips persist ``fix:{name}@level{k}`` slots; the next
-    invocation resumes from them and reaches the ungoverned verdict."""
+    """Budget trips persist ``fix:{engine}:{name}@level{k}`` slots; the
+    next invocation resumes from them and reaches the ungoverned verdict.
+    Both engines share the mechanism: the denotational run trips on
+    interned nodes, the operational one on explored states."""
 
     # Unique channel names keep the interner cold for this system, so the
     # node budget below trips at the same depth regardless of test order.
@@ -278,39 +280,46 @@ class TestGovernedCheckpointResume:
         "drain = passq?y:NAT -> sink!y -> drain"
     )
 
-    def _setup(self, tmp_path):
+    def _setup(self, tmp_path, engine):
         from repro.traces.snapshot import SnapshotCache, cache_key
 
         cfg = SemanticsConfig(depth=5, sample=2)
         defs = parse_definitions(self.RELAY)
         key = cache_key(defs, cfg)
         cache = SnapshotCache(tmp_path, key, checkpoint_only=True)
-        return cfg, defs, SatChecker(defs, config=cfg, cache=cache)
+        return cfg, defs, SatChecker(defs, config=cfg, engine=engine, cache=cache)
 
-    def test_trip_persists_slots_and_resume_reaches_same_verdict(self, tmp_path):
+    @pytest.mark.parametrize(
+        "engine,resource,limit",
+        [("denotational", "max_nodes", 5), ("operational", "max_states", 2)],
+    )
+    def test_trip_persists_slots_and_resume_reaches_same_verdict(
+        self, tmp_path, engine, resource, limit
+    ):
         from repro.errors import BudgetExceeded
         from repro.runtime.governor import Budget, activate
         from repro.traces.snapshot import is_checkpoint_slot
 
-        cfg, defs, checker = self._setup(tmp_path)
+        cfg, defs, checker = self._setup(tmp_path, engine)
         with pytest.raises(BudgetExceeded) as exc_info:
-            with activate(Budget(max_nodes=5).start()):
+            with activate(Budget(**{resource: limit}).start()):
                 checker.check(Name("relay"), "passq <= feedq")
         checkpoint = exc_info.value.checkpoint
         slots = checkpoint.resume_slots()
         assert slots and all(is_checkpoint_slot(s) for s in slots)
+        assert all(s.startswith(f"fix:{engine}:relay@level") for s in slots)
         assert checkpoint.completed_depth is not None
         checker.cache.save()
         assert checker.cache.path.exists()
 
         # Second invocation, same key: resumes from the persisted slots.
-        cfg2, defs2, resumed = self._setup(tmp_path)
+        cfg2, defs2, resumed = self._setup(tmp_path, engine)
         assert resumed.cache.loaded
-        with activate(Budget(max_nodes=10_000).start()):
+        with activate(Budget(**{resource: 10_000}).start()):
             governed = resumed.check(Name("relay"), "passq <= feedq")
         assert resumed.cache.hits > 0
 
-        ungoverned = SatChecker(defs2, config=cfg2).check(
+        ungoverned = SatChecker(defs2, config=cfg2, engine=engine).check(
             Name("relay"), "passq <= feedq"
         )
         assert governed.holds == ungoverned.holds is True

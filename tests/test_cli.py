@@ -5,6 +5,7 @@ import re
 import pytest
 
 from repro.cli import main
+from repro.systems import philosophers
 
 COPIER = """
 copier = input?x:NAT -> wire!x -> copier;
@@ -455,6 +456,39 @@ class TestEngineFlags:
         # traces (invocation-determinism).
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "source,argv",
+        [
+            (
+                philosophers.source(3),
+                ["check", "--process", "table", "--sample", "3", "--depth", "6",
+                 "--spec", "eat <= grab", "--engine", "operational",
+                 "--max-nodes", "8"],
+            ),
+            (
+                COPIER,
+                ["traces", "--process", "network", "--depth", "6",
+                 "--engine", "operational", "--max-nodes", "6"],
+            ),
+        ],
+        ids=["philosophers-check", "copier-traces"],
+    )
+    def test_governed_operational_run_same_with_and_without_cache(
+        self, source, argv, tmp_path, capsys
+    ):
+        # A cache directory must not lift --max-nodes off the explorer:
+        # the budget trips exactly where it does with --no-cache.
+        path = tmp_path / "system.csp"
+        path.write_text(source)
+        argv = [argv[0], str(path), *argv[1:]]
+        uncached = main(argv + ["--no-cache"])
+        expected = capsys.readouterr().out
+        assert uncached == 4
+        cache_dir = str(tmp_path / "cache")
+        for _ in range(2):  # cold, then re-invoked on the same cache
+            assert main(argv + ["--cache-dir", cache_dir]) == uncached
+            assert capsys.readouterr().out == expected
 
     def test_explain_plan_cold_then_warm(self, copier_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")

@@ -265,6 +265,69 @@ class TestLegacyFormat:
         assert cache.get("fix:p") is None
 
 
+class TestFilesWithBlobTable:
+    """Format-2 files written while the operational engine persisted
+    explorer frontiers carry a ``blobs`` table and ``frontier:``/
+    ``forall:`` slot names.  Their root layout is the current one, so
+    they load as they are: the closure slots are served, and the blob
+    table is ignored and dropped by the next save."""
+
+    #: A frontier blob and a ``forall`` receipt as those writers stored
+    #: them for ``p = a!0 -> b!1 -> p``.
+    BLOBS = {
+        "frontier:operational:p@level2": {
+            "level": 2,
+            "complete": False,
+            "events": [
+                {"kind": "Event", "channel": {"kind": "Channel", "name": "a",
+                                              "index": None}, "message": 0},
+                {"kind": "Event", "channel": {"kind": "Channel", "name": "b",
+                                              "index": None}, "message": 1},
+            ],
+            "states": [{"kind": "LeafState", "term": {"kind": "Name", "name": "p"}}],
+            "frontier": [[[0, 1], [0]]],
+        },
+        "forall:operational:claim:v@instance0": {
+            "holds": True,
+            "traces_checked": 4,
+            "verified_depth": 3,
+        },
+    }
+
+    def test_loads_serves_closure_slots_and_drops_blobs_on_save(self, tmp_path):
+        key = cache_key(DEFS, CFG)
+        closure = _closure()
+        shallow = closure.truncate(2)
+        data = encode_roots(
+            {
+                "traces:operational:p:d3": closure.root,
+                "fix:operational:p@level2": shallow.root,
+                "frontier:operational:p@level2": shallow.root,
+            }
+        )
+        data.update(format=FORMAT_VERSION, key=key, blobs=self.BLOBS)
+        path = tmp_path / f"snapshot-{key}.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+
+        cache = SnapshotCache(tmp_path, key)
+        assert cache.loaded and not cache.rebuilt and not cache.quarantined
+        assert cache.get("traces:operational:p:d3") is closure.root
+        governed = SnapshotCache(tmp_path, key, checkpoint_only=True)
+        assert not governed.rebuilt and not governed.quarantined
+        assert governed.get("fix:operational:p@level2") is shallow.root
+        # ``frontier:`` is no longer a checkpoint vocabulary.
+        assert governed.get("frontier:operational:p@level2") is None
+
+        cache.put("traces:operational:p:d2", shallow.root)
+        cache.save()
+        saved = json.loads(path.read_text(encoding="utf-8"))
+        assert "blobs" not in saved
+        assert not (tmp_path / "quarantine").exists()
+        reloaded = SnapshotCache(tmp_path, key)
+        assert reloaded.get("traces:operational:p:d3") is closure.root
+        assert reloaded.get("traces:operational:p:d2") is shallow.root
+
+
 class TestCacheKey:
     def test_sensitive_to_definitions(self):
         other = parse_definitions("copier = input?x:NAT -> out!x -> copier")
