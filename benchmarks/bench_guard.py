@@ -82,7 +82,7 @@ MIN_ARENA_IDS_PER_S = 20_000
 #: Absolute snapshot round-trip floor (encode + JSON + cold decode, in
 #: solved nodes per second) — loose in the same way: measured rates are
 #: well over 10× this on every recorded case, so only a collapse of the
-#: flat codec or its bulk splice trips it.
+#: flat codec or its row-by-row re-interning trips it.
 MIN_SNAPSHOT_NODES_PER_S = 40_000
 
 #: Warm-daemon queries must beat cold CLI invocations by at least this

@@ -451,8 +451,8 @@ def _node_build_case(depth: int = 6) -> dict:
 def _snapshot_case(systems, depth: int, sample: int = 3) -> dict:
     """Snapshot round-trip (encode → json.dumps → json.loads → cold
     decode) of a solved system set through the format-2 packed-segment
-    codec with bulk splice: best-of-3 ``flat_s`` and the ``nodes_per_s``
-    it implies.
+    codec, whose decoder re-interns row by row: best-of-3 ``flat_s`` and
+    the ``nodes_per_s`` it implies.
 
     Each rep re-denotes from a cold kernel first (untimed), so encode
     sees unmaterialised views — the state a real ``save()`` runs in."""

@@ -247,10 +247,11 @@ class Governor:
         self._stride_deadline()
 
     def note_nodes(self, n: int) -> None:
-        """``n`` freshly interned trie nodes at once (the snapshot
-        decoder's bulk path).  Trips exactly when ``n`` individual
-        :meth:`note_node` calls would — but *before* the caller appends
-        anything, so a trip admits none of the batch."""
+        """``n`` trie nodes interned elsewhere at once (a forked engine
+        child's reported node delta).  Trips exactly when ``n``
+        individual :meth:`note_node` calls would — but *before* the
+        caller splices the child's roots, so a trip admits none of
+        them."""
         self.nodes_interned += n
         limit = self.budget.max_nodes
         if limit is not None and self.nodes_interned > limit:
@@ -434,13 +435,6 @@ def note_node() -> None:
     g = _ACTIVE
     if g is not None:
         g.note_node()
-
-
-def note_nodes(n: int) -> None:
-    """Bulk hook for the snapshot decoder (no-op when ungoverned)."""
-    g = _ACTIVE
-    if g is not None and n:
-        g.note_nodes(n)
 
 
 def note_state() -> None:

@@ -29,7 +29,7 @@ from repro.semantics.failures import (
     failures_of,
     failures_refines,
 )
-from repro.semantics.engine import DenotationEngine, engine_denotation
+from repro.semantics.engine import DenotationEngine
 from repro.semantics.fixpoint import ApproximationChain, fixpoint_denotation
 from repro.semantics.laws import ALL_LAWS, Law, LawCheck, check_law, refines
 
@@ -39,7 +39,6 @@ __all__ = [
     "denote",
     "ApproximationChain",
     "DenotationEngine",
-    "engine_denotation",
     "fixpoint_denotation",
     "trace_equivalent",
     "trace_difference",

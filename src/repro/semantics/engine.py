@@ -25,8 +25,7 @@ fixpoint.  :class:`DenotationEngine` exploits that:
    over a pipe as flat format-2 segments
    (:func:`~repro.traces.snapshot.export_segments`), and the parent
    splices them into the canonical arena in plan order
-   (:func:`~repro.traces.snapshot.splice_segments` →
-   :meth:`~repro.traces.trie.Arena.append_rows`), charging each unit's
+   (:func:`~repro.traces.snapshot.splice_segments`), charging each unit's
    reported node delta to the ambient governor *before* the splice so
    budget trips stay sound.  Interning is idempotent on structural
    keys, so the final roots are pointer-identical to a sequential run.
@@ -67,7 +66,7 @@ from repro.process.definitions import ArrayDef, DefinitionList
 from repro.runtime import governor as _governor
 from repro.runtime.governor import Checkpoint
 from repro.semantics.config import DEFAULT_CONFIG, SemanticsConfig
-from repro.semantics.denotation import KERNELS, Denoter
+from repro.semantics.denotation import Denoter
 from repro.traces import stats as _stats
 from repro.traces import trie as _trie
 from repro.runtime.faults import FaultInjected
@@ -75,7 +74,6 @@ from repro.traces.prefix_closure import STOP_CLOSURE, FiniteClosure
 from repro.traces.snapshot import (
     SnapshotCache,
     SnapshotError,
-    bulk_codec,
     export_segments,
     fix_slot,
     splice_segments,
@@ -156,14 +154,12 @@ class DenotationEngine:
         definitions: DefinitionList,
         env: Optional[Environment] = None,
         config: SemanticsConfig = DEFAULT_CONFIG,
-        kernel: str = "trie",
         jobs: int = 1,
         cache: Optional[SnapshotCache] = None,
     ) -> None:
         self.definitions = definitions
         self.env = env if env is not None else Environment()
         self.config = config
-        self.kernel = kernel
         self.jobs = max(1, int(jobs))
         self.cache = cache
         #: Internal solve depth — mirrors
@@ -301,9 +297,8 @@ class DenotationEngine:
         after forking (so no later child holds an earlier pipe open past
         its writer's death), reads every payload to EOF, and splices
         units back **in plan order**: each unit's node delta is charged
-        to the ambient governor *before* its segments are appended, so a
-        budget trip admits none of that unit (the
-        :meth:`Arena.append_rows` contract), and the canonical interner
+        to the ambient governor *before* its segments are decoded, so a
+        budget trip admits none of that unit, and the canonical interner
         sees the same insertion sequence regardless of child timing —
         final roots are pointer-identical to a sequential run.
 
@@ -316,9 +311,6 @@ class DenotationEngine:
         plan-order slots, sound because nothing from the torn payload
         was admitted (PR 2 abort safety).
         """
-        # Children export through the bulk codec and the parent splices
-        # through it: load it once here, so the fork shares it.
-        bulk_codec()
         jobs = min(self.jobs, len(indices))
         parts = [indices[k::jobs] for k in range(jobs)]
         children: List[Tuple[int, int, List[int]]] = []
@@ -635,7 +627,6 @@ class DenotationEngine:
             self.env,
             self.config,
             process_bindings=self._bindings(local, resolved=resolved),
-            kernel=self.kernel,
         )
 
     def _denote_entry(self, denoter: Denoter, entry: EntryKey) -> FiniteClosure:
@@ -744,7 +735,7 @@ class DenotationEngine:
         no-op unless ``chan`` forced a deeper solve)."""
         if self.solve_depth == self.config.depth:
             return closure
-        return KERNELS[self.kernel].truncate(closure, self.config.depth)
+        return closure.truncate(self.config.depth)
 
     def fixpoint(self) -> Dict[str, object]:
         """The solved system, shaped exactly like
@@ -983,18 +974,3 @@ def _error_from_wire(wire: dict) -> BaseException:
     exc.__dict__.update(wire.get("attrs") or {})
     return exc
 
-
-def engine_denotation(
-    definitions: DefinitionList,
-    name: str,
-    subscript: object = None,
-    env: Optional[Environment] = None,
-    config: SemanticsConfig = DEFAULT_CONFIG,
-    jobs: int = 1,
-    cache: Optional[SnapshotCache] = None,
-) -> FiniteClosure:
-    """Denote ``name`` (or ``name[subscript]``) via the dependency-graph
-    engine — the engine-backed counterpart of
-    :func:`~repro.semantics.fixpoint.fixpoint_denotation`."""
-    engine = DenotationEngine(definitions, env, config, jobs=jobs, cache=cache)
-    return engine.closure_for(name, subscript)

@@ -200,9 +200,10 @@ def adopt_roots(request: Dict[str, Any]) -> Dict[str, Any]:
     situation restores them instead of solving.
 
     Splicing validates the payload fully — a torn or corrupt segment
-    raises and becomes an ``ERROR`` response, leaving the arena exactly
-    as it was (the bulk path appends only after validation), so a worker
-    can never be poisoned by a bad warm frame."""
+    raises and becomes an ``ERROR`` response before any root is adopted
+    (rows decoded ahead of the defect stay interned, canonical and
+    unreachable), so a worker can never be poisoned by a bad warm
+    frame."""
     from repro.traces.snapshot import splice_segments
 
     rid = request.get("id")

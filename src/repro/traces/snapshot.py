@@ -10,28 +10,11 @@ deduplicated event table.  This mirrors the arena's own
 struct-of-arrays layout (ascending arena ids *are* a post-order, since
 children are always interned before parents), so encoding is a linear
 copy of int spans and never materialises a view object per node.
-Decoding re-interns every node — through
-:meth:`~repro.traces.trie.Arena.intern` row by row, or, when numpy is
-available and every decoded node is fresh, through a vectorised
-validation pass and one :meth:`~repro.traces.trie.Arena.append_rows`
-splice that registers byte-identical interner keys.  Either way a
-snapshot can never introduce a non-canonical node, only save the work
-of building canonical ones; stored counts/heights are verified against
-the edge tables (the recurrence has a unique solution over a
-post-order, so node-local consistency proves them), never trusted.
-
-numpy is this module's alone, and it loads late: :func:`bulk_codec`
-imports it on the first bulk encode or decode, not at import time.
-numpy costs more to import than the rest of ``repro`` put together,
-and a one-shot ``repro check --no-cache``, ``traces --no-cache`` or
-``deadlocks``, the ``repro serve`` supervisor and a ``--server``
-client never touch a snapshot, so they never load it.  A serve
-worker loads it on its first frame export or snapshot operation.
-The denotation engine calls :func:`bulk_codec` before it forks
-``--jobs`` children: each child exports its roots through the bulk
-encoder, and a module loaded before the fork is inherited for free,
-where a lazy import would be paid once per child and again by the
-parent to splice.
+Decoding re-interns every node row by row through
+:meth:`~repro.traces.trie.Arena.intern`, so a snapshot can never
+introduce a non-canonical node, only save the work of building
+canonical ones; stored counts/heights are checked against the values
+the interner derives from the edge tables, never trusted.
 
 A snapshot is trusted only as a cache, never as truth:
 
@@ -54,7 +37,9 @@ ordinary CLI invocations:
 
 * **quarantine, not deletion** — a corrupt, torn, or key-mismatched file
   is moved to ``<cache>/quarantine/`` (evidence preserved, never read
-  again) and the run rebuilds from scratch;
+  again) and the run rebuilds from scratch; a healthy file that a
+  governed run cannot afford to decode stays where it is and serves
+  that run nothing;
 * **one writer at a time** — ``save`` takes a cross-process ``flock`` on
   a per-key lock file, so two workers never interleave a write;
 * **merge before write** — under the lock, ``save`` re-reads the file
@@ -66,42 +51,27 @@ ordinary CLI invocations:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
 import re
 import tempfile
-from array import array
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro import serialize
-from repro.errors import ReproError
+from repro.errors import BudgetExceeded, ReproError
 from repro.runtime import faults as _faults
 from repro.runtime import governor as _governor
 from repro.traces.events import Event
+from repro.traces.stats import KERNEL_STATS
 from repro.traces.trie import ClosureNode, current_state, node_id
 
 try:  # POSIX cross-process advisory locking; absent → single-writer hosts
     import fcntl
 except ImportError:  # pragma: no cover - all CI hosts are POSIX
     fcntl = None
-
-
-@functools.lru_cache(maxsize=None)
-def bulk_codec() -> Any:
-    """The numpy module behind the bulk codec, imported on the first
-    call rather than at module load (the module docstring says why);
-    ``None`` where numpy is not installed, and the pure-Python codec
-    then writes the same bytes.  Call it before ``os.fork``-ing workers
-    that export segments, so they inherit the loaded module."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy ships with the toolchain
-        return None
-    return numpy
 
 
 #: On-disk layout version: flat arena segments.  Any other format
@@ -134,12 +104,7 @@ def encode_roots(roots: Dict[str, ClosureNode]) -> dict:
       ascending **are** a valid post-order — no DFS bookkeeping;
     * within a node's span, edges ascend by event id, and file event
       indices are assigned by event-id *rank*, so each emitted edge list
-      ascends by file event index too (the decoder's fast path checks,
-      then relies on, this).
-
-    With numpy available the reachability sweep and the segment copy are
-    vectorised gathers over the arena arrays; the pure-Python path emits
-    byte-identical payloads.
+      ascends by file event index too.
     """
     arena = None
     for root in roots.values():
@@ -149,14 +114,6 @@ def encode_roots(roots: Dict[str, ClosureNode]) -> dict:
     if arena is None:
         arena = current_state().arena
     root_ids = {slot: node_id(root, arena) for slot, root in roots.items()}
-    np = bulk_codec()
-    if np is not None:
-        return _encode_bulk(np, arena, root_ids)
-    return _encode_sequential(arena, root_ids)
-
-
-def _encode_sequential(arena, root_ids: Dict[str, int]) -> dict:
-    """Pure-Python encoder (numpy-less hosts); same payload bytes."""
     edge_events = arena.edge_events
     edge_children = arena.edge_children
     edge_start = arena.edge_start
@@ -208,83 +165,22 @@ def _encode_sequential(arena, root_ids: Dict[str, int]) -> dict:
     }
 
 
-def _as_i32(values) -> "array":
-    """A native ``array('i')`` spliced from a numpy buffer (C-level)."""
-    out = array("i")
-    out.frombytes(values.astype("int32", copy=False).tobytes())
-    return out
-
-
-def _encode_bulk(np, arena, root_ids: Dict[str, int]) -> dict:
-    """Vectorised encoder: frontier reachability sweep + ragged gather."""
-    es = np.frombuffer(arena.edge_start, dtype=np.int32).astype(np.int64)
-    el = np.frombuffer(arena.edge_len, dtype=np.int32).astype(np.int64)
-    ee = np.frombuffer(arena.edge_events, dtype=np.int32)
-    ec = np.frombuffer(arena.edge_children, dtype=np.int32)
-
-    n = arena.node_count()
-    seen = np.zeros(n, dtype=bool)
-    frontier = np.unique(np.fromiter(root_ids.values(), dtype=np.int64))
-    seen[frontier] = True
-    mark = np.zeros(n, dtype=bool)  # per-wave dedupe scratch (no sorting)
-    while frontier.size:
-        lens = el[frontier]
-        total = int(lens.sum())
-        if not total:
-            break
-        starts = es[frontier]
-        offs = np.zeros(frontier.size, dtype=np.int64)
-        np.cumsum(lens[:-1], out=offs[1:])
-        idx = np.repeat(starts - offs, lens) + np.arange(total)
-        children = ec[idx]
-        mark[:] = False
-        mark[children[~seen[children]]] = True
-        frontier = np.flatnonzero(mark)
-        seen[frontier] = True
-
-    order = np.flatnonzero(seen)  # ascending ids = valid post-order
-    lens = el[order]
-    total = int(lens.sum())
-    offs = np.zeros(order.size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=offs[1:])
-    idx = np.repeat(es[order] - offs, lens) + np.arange(total)
-    ev = ee[idx]
-    ch = ec[idx]
-
-    used_eids = np.unique(ev)
-    rank = np.zeros(int(used_eids[-1]) + 1 if used_eids.size else 1, dtype=np.int32)
-    rank[used_eids] = np.arange(used_eids.size, dtype=np.int32)
-    position = np.zeros(int(order[-1]) + 1 if order.size else 1, dtype=np.int32)
-    position[order] = np.arange(order.size, dtype=np.int32)
-
-    counts = array("q")
-    counts.frombytes(
-        np.frombuffer(arena.counts, dtype=np.int64)[order].tobytes()
-    )
-    heights = np.frombuffer(arena.heights, dtype=np.int32)[order]
-
-    return {
-        "events": [serialize.encode(arena.events[int(e)]) for e in used_eids],
-        "arity": serialize.pack_ints(_as_i32(lens)),
-        "edge_events": serialize.pack_ints(_as_i32(rank[ev])),
-        "edge_children": serialize.pack_ints(_as_i32(position[ch])),
-        "counts": serialize.pack_ints64(counts),
-        "heights": serialize.pack_ints(_as_i32(heights)),
-        "roots": {
-            slot: int(position[rid]) for slot, rid in root_ids.items()
-        },
-    }
-
-
 def decode_roots(data: dict) -> Dict[str, ClosureNode]:
     """Decode :func:`encode_roots` output, re-interning every node into
     the current kernel state's arena.
 
-    Raises :class:`SnapshotError` on any structural defect; never
-    returns partially decoded state.  Nothing from the file is trusted:
-    segments must align, every child index must respect post-order,
-    every event index must hit the table, and every node goes back
-    through the interner's packed-key gate.
+    Raises :class:`SnapshotError` on any structural defect and returns
+    no root from a defective payload; nodes decoded before the defect
+    stay interned, canonical and unreachable.  Nothing from the file is
+    trusted: segments must align, every child index must respect
+    post-order, every event index must hit the table, and every node
+    goes back through the interner's packed-key gate.
+
+    Under a governor the re-interned nodes are charged to the budget.  A
+    payload with more nodes than ``--max-nodes`` has left is refused up
+    front with :class:`BudgetExceeded`, nothing interned or charged; a
+    trip mid-decode (the deadline) propagates unchanged.  Neither is a
+    defect.
     """
     try:
         events = [serialize.decode(e) for e in data["events"]]
@@ -310,24 +206,21 @@ def decode_roots(data: dict) -> Dict[str, ClosureNode]:
                 f"counts/heights segments hold {len(counts)}/{len(heights)} "
                 f"entries for {len(arity)} nodes"
             )
+        # A load the budget cannot pay for in full is refused before it
+        # starts: half of one would spend the budget and serve nothing.
+        # Every row but the leaf may intern a fresh node.
+        governor = _governor.current()
+        limit = governor.budget.max_nodes if governor is not None else None
+        fresh = len(arity) - 1
+        if limit is not None and governor.nodes_interned + fresh > limit:
+            raise BudgetExceeded("interned-node", limit, governor.checkpoint())
         arena = current_state().arena
         eids = [arena.intern_event(e) for e in events]
-        ids: Optional[List[int]] = None
-        if len(arity) and array("i").itemsize == 4:
-            np = bulk_codec()
-            if np is not None:
-                ids = _decode_bulk(
-                    np, arena, eids, arity, flat_events, flat_children,
-                    counts, heights,
-                )
-        if ids is None:
-            ids = _decode_sequential(
-                arena, eids, arity, flat_events, flat_children, counts, heights
-            )
+        ids = _decode_sequential(
+            arena, eids, arity, flat_events, flat_children, counts, heights
+        )
         # ``ids`` is the remap table of this splice — payload-local
         # post-order index to canonical arena id.
-        from repro.traces.stats import KERNEL_STATS
-
         KERNEL_STATS.remap_entries += len(ids)
         roots: Dict[str, ClosureNode] = {}
         for slot, idx in data["roots"].items():
@@ -335,7 +228,7 @@ def decode_roots(data: dict) -> Dict[str, ClosureNode]:
                 raise SnapshotError(f"bad root entry {slot!r}: {idx!r}")
             roots[slot] = arena.view(ids[idx])
         return roots
-    except SnapshotError:
+    except (SnapshotError, BudgetExceeded):
         raise
     except (serialize.SerializationError, ReproError) as exc:
         raise SnapshotError(f"undecodable snapshot payload: {exc}") from exc
@@ -346,9 +239,7 @@ def decode_roots(data: dict) -> Dict[str, ClosureNode]:
 def _decode_sequential(
     arena, eids, arity, flat_events, flat_children, counts, heights
 ):
-    """Per-node decode through :meth:`Arena.intern` — the path every
-    host has, and the fallback whenever the bulk path cannot apply
-    (numpy missing, nodes already interned, odd payloads).  The file's
+    """Per-node decode through :meth:`Arena.intern`.  The file's
     ``counts``/``heights`` segments are cross-checked against the values
     the interner derives — a node whose stored metadata disagrees with
     its own edge tables rejects the whole payload."""
@@ -393,123 +284,6 @@ def _decode_sequential(
     return ids
 
 
-def _decode_bulk(
-    np, arena, eids, arity, flat_events, flat_children, counts, heights
-):
-    """Vectorised decode: validate every structural property of the
-    payload with numpy, then splice whole segments into the arena via
-    :meth:`Arena.append_rows`.
-
-    Validation is *not* weakened — bounds, post-order, per-node event
-    sortedness/distinctness, counts/heights consistency, and
-    interner-key freshness are all checked before a single byte is
-    appended; the packed keys registered are byte-identical to what
-    per-node :meth:`Arena.intern` would compute, so the decoded rows are
-    canonical by construction.  The ``counts``/``heights`` recurrences
-    have exactly one solution over a post-order file, so checking each
-    node's stored value against its children's stored values — one
-    ``reduceat`` sweep, no fixpoint — proves the segments correct before
-    they are spliced in verbatim.  Returns ``None`` (caller falls back
-    to the sequential path) whenever the batch cannot be appended
-    wholesale: per-node events arrive unsorted, the file repeats a node,
-    or any node is already interned (warm arena).
-    """
-    arity_np = np.frombuffer(arity, dtype=np.int32)
-    fe = np.frombuffer(flat_events, dtype=np.int32)
-    fc = np.frombuffer(flat_children, dtype=np.int32)
-    n_nodes = len(arity_np)
-    if arity_np.size and int(arity_np.min()) < 0:
-        i = int(np.argmin(arity_np))
-        raise SnapshotError(f"negative arity {int(arity_np[i])} at node {i}")
-    node_of_edge = np.repeat(np.arange(n_nodes, dtype=np.int64), arity_np)
-    n_events = len(eids)
-    bad = (fe < 0) | (fe >= n_events)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise SnapshotError(
-            f"bad event index {int(fe[k])} at node {int(node_of_edge[k])}"
-        )
-    bad = (fc < 0) | (fc >= node_of_edge)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise SnapshotError(f"child index {int(fc[k])} breaks post-order")
-
-    loc = np.asarray(eids, dtype=np.int64)[fe] if fe.size else fe.astype(np.int64)
-    within = node_of_edge[1:] == node_of_edge[:-1]
-    step = loc[1:] - loc[:-1]
-    if bool(np.any((step < 0) & within)):
-        return None  # events unsorted inside a node: sort + re-validate
-    dup = (step == 0) & within
-    if bool(dup.any()):
-        k = int(np.flatnonzero(dup)[0])
-        raise SnapshotError(
-            f"duplicate event on node {int(node_of_edge[k])}: two edges "
-            f"share one event index"
-        )
-
-    new_mask = arity_np > 0
-    n_new = int(new_mask.sum())
-    counts_np = np.frombuffer(counts, dtype=np.int64)
-    heights_np = np.frombuffer(heights, dtype=np.int32).astype(np.int64)
-    leaf_rows = ~new_mask
-    if not (
-        bool(np.all(counts_np[leaf_rows] == 1))
-        and bool(np.all(heights_np[leaf_rows] == 0))
-    ):
-        raise SnapshotError("counts/heights disagree with edge tables")
-    if n_new == 0:
-        return [0] * n_nodes
-    edge_offs = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(arity_np, out=edge_offs[1:])
-    starts = edge_offs[:-1][new_mask]
-    # One sweep suffices: children precede parents, and the count/height
-    # recurrences have a unique solution, so node-local consistency of
-    # the *stored* values proves them all correct.
-    want_counts = 1 + np.add.reduceat(counts_np[fc], starts)
-    want_heights = np.maximum.reduceat(heights_np[fc] + 1, starts)
-    if not (
-        np.array_equal(want_counts, counts_np[new_mask])
-        and np.array_equal(want_heights, heights_np[new_mask])
-    ):
-        raise SnapshotError("counts/heights disagree with edge tables")
-
-    base = arena.node_count()
-    if base + n_new > 2**31 - 1 or len(arena.edge_events) + fe.size > 2**31 - 1:
-        return None  # would overflow 32-bit segments (absurd scale)
-    ids_np = np.zeros(n_nodes, dtype=np.int64)
-    ids_np[new_mask] = base + np.arange(n_new, dtype=np.int64)
-    cid = ids_np[fc]
-    loc32 = loc.astype(np.int32)
-    interleaved = np.empty(2 * fe.size, dtype=np.int32)
-    interleaved[0::2] = loc32
-    interleaved[1::2] = cid.astype(np.int32)
-    buf = interleaved.tobytes()
-
-    byte_offs = (edge_offs * 8).tolist()
-    keys = [buf[a:b] for a, b in zip(byte_offs, byte_offs[1:]) if a != b]
-    interner = arena.interner
-    distinct = set(keys)
-    if len(distinct) != n_new or not interner.keys().isdisjoint(distinct):
-        return None  # repeated or already-interned nodes: dedupe per node
-
-    arena_starts = len(arena.edge_events) + starts
-    got = arena.append_rows(
-        n_new,
-        loc32.tobytes(),
-        interleaved[1::2].tobytes(),
-        arena_starts.astype(np.int32).tobytes(),
-        arity_np[new_mask].tobytes(),
-        counts_np[new_mask].tobytes(),
-        heights_np[new_mask].astype(np.int32).tobytes(),
-        keys,
-    )
-    assert got == base
-    from repro.traces.stats import KERNEL_STATS
-
-    KERNEL_STATS.interner_hits += n_nodes - n_new
-    return ids_np.tolist()
-
-
 def export_segments(roots: Dict[str, ClosureNode]) -> dict:
     """Encode ``roots`` as a flat segment payload for *in-memory*
     shipping — over a worker-process pipe or a serve-pool socket —
@@ -517,11 +291,14 @@ def export_segments(roots: Dict[str, ClosureNode]) -> dict:
 
     This is :func:`encode_roots` by another name: the wire layout and
     the file layout are deliberately the same format-2 segments, so the
-    process dispatcher and the solved-system share path reuse the
-    vectorised codec (and its validation on the receiving side) without
-    a second format.
+    process dispatcher and the solved-system share path reuse the codec
+    (and its validation on the receiving side) without a second format.
     """
     return encode_roots(roots)
+
+
+#: The packed int segments of a format-2 payload.
+_SEGMENTS = ("arity", "edge_events", "edge_children", "counts", "heights")
 
 
 def splice_segments(payload: dict) -> Dict[str, ClosureNode]:
@@ -532,10 +309,21 @@ def splice_segments(payload: dict) -> Dict[str, ClosureNode]:
     process dispatcher, the serve warm-roots adopter — account for the
     shipped work explicitly (per-unit node deltas reported by the child,
     or not at all for cache warming), so the splice itself must not
-    double-charge the ambient budget.
+    double-charge the ambient budget.  A payload that decodes counts
+    its nodes and packed segment bytes as spliced traffic.
     """
     with _governor.suspended():
-        return decode_roots(payload)
+        roots = decode_roots(payload)
+    # Byte size of each segment, read off its validated base64 (three
+    # bytes per four characters, less padding); ``counts`` holds eight
+    # bytes per node.
+    sizes = {
+        key: len(payload[key]) // 4 * 3 - payload[key].count("=")
+        for key in _SEGMENTS
+    }
+    KERNEL_STATS.spliced_ids += sizes["counts"] // 8
+    KERNEL_STATS.spliced_bytes += sum(sizes.values())
+    return roots
 
 
 def cache_key(definitions: Any, config: Any, extra: Any = None) -> str:
@@ -625,6 +413,10 @@ class SnapshotCache:
         try:
             self._roots = self._decode_file(raw)
             self.loaded = True
+        except BudgetExceeded:
+            # A healthy file this run cannot afford to decode: keep it
+            # for a run that can, and start this one cold.
+            pass
         except (json.JSONDecodeError, SnapshotError, ReproError):
             # Corrupted, stale, or foreign snapshot: rebuild from scratch
             # and move the evidence aside so it is never read again.

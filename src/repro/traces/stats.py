@@ -75,12 +75,12 @@ class KernelStats:
         self.delta_capped = 0
         #: Fresh subtrees enumerated across all frontier walks.
         self.frontier_nodes = 0
-        #: Node ids admitted through :meth:`Arena.append_rows` — segments
-        #: spliced wholesale from a snapshot, a worker process, or a
-        #: shared solved-system payload (never row-by-row interning).
+        #: Nodes decoded from shipped segment payloads
+        #: (:func:`repro.traces.snapshot.splice_segments`) — a forked
+        #: engine child's roots or a shared solved-system frame.
         self.spliced_ids = 0
-        #: Raw segment bytes those splices appended (edge tables, spans,
-        #: counts, heights) — the cross-process shared-memory traffic.
+        #: Packed segment bytes of those payloads (arity, edge tables,
+        #: counts, heights) — the cross-process traffic.
         self.spliced_bytes = 0
         #: Non-trivial id remappings performed by
         #: :func:`repro.traces.trie.reintern` — the total size of the
@@ -244,7 +244,7 @@ def format_stats() -> str:
     if spliced["ids"] or spliced["remap_entries"]:
         lines.append(
             f"  spliced segments: {spliced['ids']} ids in "
-            f"{spliced['bytes']} bytes appended via bulk splice, "
+            f"{spliced['bytes']} bytes, "
             f"{spliced['remap_entries']} remap-table entries"
         )
     return "\n".join(lines)

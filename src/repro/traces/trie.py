@@ -283,54 +283,6 @@ class Arena:
         self.interner[key] = nid
         return nid
 
-    def append_rows(
-        self,
-        n: int,
-        edge_events_b: bytes,
-        edge_children_b: bytes,
-        edge_start_b: bytes,
-        edge_len_b: bytes,
-        counts_b: bytes,
-        heights_b: bytes,
-        keys: List[bytes],
-    ) -> int:
-        """Bulk-append ``n`` pre-validated node rows; returns the first
-        new id (rows get ids ``base .. base+n-1`` in order).
-
-        This is the snapshot decoder's fast path: segment buffers arrive
-        as raw native-order bytes (``'i'`` rows, ``'q'`` counts) and are
-        spliced in with C-level ``frombytes``.  The caller guarantees
-        everything :meth:`intern` would otherwise establish row by row —
-        each key is the packed edge list of its row, absent from the
-        interner and pairwise distinct; edges sorted by ascending event
-        id; counts/heights consistent; ``edge_start`` offset by the
-        current edge count.  The abort points fire once, up front: a
-        budget trip or injected fault admits *none* of the batch, so the
-        edges-before-row-before-interner contract of :meth:`intern`
-        carries over unchanged.
-        """
-        _faults.maybe_fail("trie.intern")
-        _governor.note_nodes(n)
-        base = len(self.edge_start)
-        self.edge_events.frombytes(edge_events_b)
-        self.edge_children.frombytes(edge_children_b)
-        self.edge_start.frombytes(edge_start_b)
-        self.edge_len.frombytes(edge_len_b)
-        self.counts.frombytes(counts_b)
-        self.heights.frombytes(heights_b)
-        self.interner.update(zip(keys, range(base, base + n)))
-        KERNEL_STATS.interner_misses += n
-        KERNEL_STATS.spliced_ids += n
-        KERNEL_STATS.spliced_bytes += (
-            len(edge_events_b)
-            + len(edge_children_b)
-            + len(edge_start_b)
-            + len(edge_len_b)
-            + len(counts_b)
-            + len(heights_b)
-        )
-        return base
-
     def view(self, nid: int) -> ClosureNode:
         """The canonical view object for ``nid`` (one per id, forever)."""
         node = self.views.get(nid)

@@ -490,6 +490,35 @@ class TestEngineFlags:
             assert main(argv + ["--cache-dir", cache_dir]) == uncached
             assert capsys.readouterr().out == expected
 
+    def test_snapshot_load_over_budget_keeps_the_file(
+        self, copier_file, tmp_path, capsys
+    ):
+        # Decoding the 25-node snapshot would overrun --max-nodes 12: the
+        # file is healthy, so it is kept, and the governed run goes on
+        # as it would without a cache — on every invocation.
+        cache_dir = tmp_path / "cache"
+        where = ["--process", "network", "--depth", "8", "--cache-dir",
+                 str(cache_dir)]
+        check = ["check", copier_file, *where, "--spec", "output <= input"]
+        assert main(check) == 0
+        assert "HOLDS" in capsys.readouterr().out
+        (snapshot,) = cache_dir.glob("snapshot-*.json")
+        assert main(check + ["--max-nodes", "12"]) == 4
+        assert capsys.readouterr().out.startswith("PARTIAL")
+        assert snapshot.exists()
+        assert not (cache_dir / "quarantine").exists()
+        assert main(["stats", copier_file, *where]) == 0
+        out = capsys.readouterr().out
+        assert "snapshot cache: 1 hits, 0 misses" in out
+        assert "rebuilt" not in out
+        traces = ["traces", copier_file, "--process", "copier", "--depth",
+                  "8", "--max-nodes", "15"]
+        assert main(traces + ["--no-cache"]) == 4
+        uncached = capsys.readouterr().out
+        for _ in range(2):
+            assert main(traces + ["--cache-dir", str(cache_dir)]) == 4
+            assert capsys.readouterr().out == uncached
+
     def test_explain_plan_cold_then_warm(self, copier_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         argv = [

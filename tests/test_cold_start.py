@@ -1,17 +1,18 @@
-"""Cold start: numpy loads only where the bulk snapshot codec runs.
+"""Cold start: no ``repro`` code path imports numpy.
 
-numpy costs more to import than the rest of ``repro`` together, and
-only :mod:`repro.traces.snapshot`'s bulk codec uses it.  These tests
-run in a fresh interpreter each (the test process itself has long
-since loaded numpy) and pin down where it loads:
+numpy is not a dependency of ``repro``, and importing it costs more
+than the rest of the package together, in time and in memory.  The
+snapshot codec is pure Python.  These tests run in a fresh interpreter
+each (the test process may have loaded numpy for other reasons) and
+check that numpy stays out of:
 
-* never for a one-shot ``check --no-cache``, ``traces --no-cache`` or
-  ``deadlocks``, which encode and decode no snapshot;
-* on the first snapshot save of a cached ``check``;
-* before the engine forks ``--jobs`` children, so they inherit it.
+* a one-shot ``check --no-cache``, ``traces --no-cache`` or
+  ``deadlocks``, and a cached ``check`` that writes and reads a
+  snapshot;
+* a ``--jobs 2`` solve, in the parent and in every forked child, whose
+  roots are still pointer-identical to a sequential solve.
 """
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -20,8 +21,6 @@ import sys
 import pytest
 
 import repro
-
-HAS_NUMPY = importlib.util.find_spec("numpy") is not None
 
 
 def _fresh_interpreter(script: str, *args: str) -> dict:
@@ -52,8 +51,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(main(["traces", source, *spec, "--no-cache"]))
     codes.append(main(["deadlocks", source, *spec]))
     uncached = "numpy" in sys.modules
-    codes.append(main(["check", source, *spec, "--spec", "output <= input",
-                       "--cache-dir", cache_dir]))
+    for _ in ("cold", "warm"):
+        codes.append(main(["check", source, *spec, "--spec", "output <= input",
+                           "--cache-dir", cache_dir]))
 print(json.dumps({"codes": codes, "uncached": uncached,
                   "cached": "numpy" in sys.modules}))
 """
@@ -64,12 +64,26 @@ from repro.semantics.config import SemanticsConfig
 from repro.semantics.engine import DenotationEngine
 from repro.systems import philosophers
 
-at_fork = []
+log = sys.argv[1]
+
+
+class NumpyTripwire:
+    # Inherited by forked children: any process that looks numpy up
+    # leaves its pid in the log.
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\\n")
+        return None
+
+
+sys.meta_path.insert(0, NumpyTripwire())
+forks = []
 real_fork = os.fork
 
 
 def fork():
-    at_fork.append("numpy" in sys.modules)
+    forks.append("numpy" in sys.modules)
     return real_fork()
 
 
@@ -85,13 +99,12 @@ def roots(fixpoint):
 os.fork = fork
 defs, env = philosophers.definitions(), philosophers.environment()
 config = SemanticsConfig(depth=5, sample=3)
-before = "numpy" in sys.modules
 forked = roots(DenotationEngine(defs, env, config, jobs=2).fixpoint())
 sequential = roots(DenotationEngine(defs, env, config).fixpoint())
 identical = forked.keys() == sequential.keys() and all(
     forked[key] is root for key, root in sequential.items()
 )
-print(json.dumps({"before": before, "at_fork": at_fork,
+print(json.dumps({"forks": forks, "loaded": "numpy" in sys.modules,
                   "identical": identical}))
 """
 
@@ -101,18 +114,20 @@ def test_one_shot_queries_never_import_numpy(tmp_path):
 
     source = tmp_path / "copier.csp"
     source.write_text(copier.SOURCE)
-    result = _fresh_interpreter(ONE_SHOT, str(source), str(tmp_path / "cache"))
-    assert result["codes"] == [0, 0, 0, 0]
+    cache_dir = tmp_path / "cache"
+    result = _fresh_interpreter(ONE_SHOT, str(source), str(cache_dir))
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert list(cache_dir.glob("snapshot-*.json"))  # the codec ran
     assert result["uncached"] is False
-    # A snapshot save still takes the bulk codec wherever numpy exists.
-    assert result["cached"] is HAS_NUMPY
+    assert result["cached"] is False
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-@pytest.mark.skipif(not HAS_NUMPY, reason="the bulk codec needs numpy")
-def test_engine_loads_the_bulk_codec_before_forking():
-    result = _fresh_interpreter(FORKED)
-    assert result["before"] is False
-    assert result["at_fork"]  # philosophers fans rank 0 out to children
-    assert all(result["at_fork"])
+def test_forked_solve_never_imports_numpy(tmp_path):
+    log = tmp_path / "numpy-lookups"
+    result = _fresh_interpreter(FORKED, str(log))
+    assert result["forks"]  # philosophers fans rank 0 out to children
+    assert not any(result["forks"])
+    assert result["loaded"] is False
+    assert not log.exists(), log.read_text()
     assert result["identical"] is True

@@ -9,18 +9,20 @@ scratch.  That includes format-1 (pre-arena) files under the same
 content key: a cache is never truth, so an old layout simply misses.
 """
 
+import hashlib
 import json
 
 import pytest
 
+from repro.errors import BudgetExceeded
 from repro.process.ast import Name
 from repro.process.parser import parse_definitions
+from repro.runtime.governor import Budget, activate
 from repro.semantics.config import SemanticsConfig
 from repro.semantics.denotation import denote
 from repro.semantics.engine import DenotationEngine
 from repro.serialize import pack_ints, pack_ints64, unpack_ints, unpack_ints64
 from repro.systems import buffer, copier, philosophers, protocol
-from repro.traces import snapshot
 from repro.traces.snapshot import (
     FORMAT_VERSION,
     SnapshotCache,
@@ -29,7 +31,6 @@ from repro.traces.snapshot import (
     decode_roots,
     encode_roots,
 )
-from repro.traces.stats import KERNEL_STATS
 from repro.traces.trie import private_state
 
 CFG = SemanticsConfig(depth=3, sample=2)
@@ -115,7 +116,7 @@ class TestDecodeRejectsDefects:
         counts = unpack_ints64(data["counts"])
         counts[-1] += 5
         data["counts"] = pack_ints64(counts)
-        with private_state():  # bulk path: one-sweep consistency check
+        with private_state():  # cold arena: every node interned fresh
             with pytest.raises(SnapshotError, match="counts"):
                 decode_roots(data)
 
@@ -164,69 +165,88 @@ class TestDecodeRejectsDefects:
             decode_roots({"events": "nope", "arity": 3, "roots": []})
 
 
-class TestPurePythonCodec:
-    """Hosts without numpy run the pure-Python encoder and decoder.  With
-    :func:`bulk_codec` patched to report no numpy, ``encode_roots`` must
-    emit the bulk encoder's payload byte for byte on every shipped
-    system, and both decoders must rebuild pointer-identical roots."""
+class TestGovernedDecode:
+    """Re-interned nodes are charged to --max-nodes.  A load the budget
+    cannot pay for in full is a budget trip, not a defect, and is
+    refused before it interns or charges anything."""
+
+    def test_load_over_budget_is_refused_up_front(self):
+        payload = encode_roots({"p": _closure().root})
+        with private_state() as state:
+            arena = state.arena
+            before = (arena.node_count(), len(arena.interner))
+            governor = Budget(max_nodes=1).start()
+            with activate(governor):
+                with pytest.raises(BudgetExceeded):
+                    decode_roots(payload)
+            assert governor.nodes_interned == 0 and not governor.exhausted
+            assert (arena.node_count(), len(arena.interner)) == before
+
+    def test_load_within_budget_is_charged_per_fresh_node(self):
+        payload = encode_roots({"p": _closure().root})
+        fresh = len(unpack_ints(payload["arity"])) - 1  # all but the leaf
+        with private_state():
+            governor = Budget(max_nodes=fresh).start()
+            with activate(governor):
+                decode_roots(payload)
+            assert governor.nodes_interned == fresh
+
+
+class TestCodec:
+    """One codec for files and shipped frames.  On every shipped system
+    a payload decodes back to the views that built it, re-encodes to
+    itself from a cold arena, and hashes to a pinned SHA-256: the bytes
+    must not drift, or caches already on disk would stop loading."""
 
     SYSTEMS = [
-        pytest.param(copier, {}, 7, id="copier-d7"),
-        pytest.param(protocol, {}, 6, id="protocol-d6"),
-        pytest.param(philosophers, {"seats": 3}, 6, id="philosophers3-d6"),
-        pytest.param(buffer, {"places": 3}, 6, id="buffer3-d6"),
+        pytest.param(
+            copier, {}, 7,
+            "a09a35d51221da78c8a72111aa77049fa865109d4dd3e25ceadc3c6e32c80409",
+            id="copier-d7",
+        ),
+        pytest.param(
+            protocol, {}, 6,
+            "830df6d656709ef164f5258c184d77d09bc286eb075f4a771dfff92e4fad8e93",
+            id="protocol-d6",
+        ),
+        pytest.param(
+            philosophers, {"seats": 3}, 6,
+            "c44e0a03fd573d3d3ad23e257a9babd7a8c32fd77ce867acee319a75fd136735",
+            id="philosophers3-d6",
+        ),
+        pytest.param(
+            buffer, {"places": 3}, 6,
+            "915fc56abe3cc36489c1eac56f7aeaa2a5ea07626722f16e224aa88e13d62b8d",
+            id="buffer3-d6",
+        ),
     ]
 
-    @staticmethod
-    def _codec(monkeypatch, function, argument, bulk):
-        with monkeypatch.context() as host:
-            if not bulk:
-                host.setattr(snapshot, "bulk_codec", lambda: None)
-            return function(argument)
-
-    @pytest.mark.parametrize("system, size, depth", SYSTEMS)
-    def test_payloads_and_roots_match_the_bulk_codec(
-        self, system, size, depth, monkeypatch
-    ):
-        if snapshot.bulk_codec() is None:
-            pytest.skip("the bulk codec needs numpy")
-        engine = DenotationEngine(
-            system.definitions(**size),
-            system.environment(),
-            SemanticsConfig(depth=depth),
-        )
-        roots = {
-            f"{name}[{sub}]": closure.root
-            for name, value in engine.fixpoint().items()
-            for sub, closure in (
-                value.items() if isinstance(value, dict) else [(None, value)]
+    @pytest.mark.parametrize("system, size, depth, digest", SYSTEMS)
+    def test_round_trip_and_pinned_payload(self, system, size, depth, digest):
+        # A fresh arena: event ids, and so the payload's event order,
+        # depend on what the arena interned before.
+        with private_state():
+            engine = DenotationEngine(
+                system.definitions(**size),
+                system.environment(),
+                SemanticsConfig(depth=depth),
             )
-        }
-        payload = self._codec(monkeypatch, encode_roots, roots, bulk=True)
-        plain = self._codec(monkeypatch, encode_roots, roots, bulk=False)
-        assert plain == payload
-
-        def decode(bulk):
-            return self._codec(monkeypatch, decode_roots, payload, bulk)
-
-        def same(a, b):
-            return all(a[slot] is b[slot] for slot in roots)
-
-        # Into the arena that built them: the very same views.
-        assert same(decode(bulk=True), roots)
-        assert same(decode(bulk=False), roots)
-        # Into a cold arena, each decoder first: the bulk splice and
-        # per-node interning land on the same nodes.
+            roots = {
+                f"{name}[{sub}]": closure.root
+                for name, value in engine.fixpoint().items()
+                for sub, closure in (
+                    value.items() if isinstance(value, dict) else [(None, value)]
+                )
+            }
+            payload = encode_roots(roots)
+            # Into the arena that built them: the very same views.
+            decoded = decode_roots(payload)
+            assert all(decoded[slot] is roots[slot] for slot in roots)
+        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == digest
+        # Into a cold arena: the decoded roots re-encode to the payload.
         with private_state():
-            before = KERNEL_STATS.spliced_ids
-            spliced = decode(bulk=True)
-            assert KERNEL_STATS.spliced_ids > before  # the splice ran
-            assert same(decode(bulk=False), spliced)
-            assert encode_roots(spliced) == payload
-        with private_state():
-            interned = decode(bulk=False)
-            assert same(decode(bulk=True), interned)
-            assert encode_roots(interned) == payload
+            assert encode_roots(decode_roots(payload)) == payload
 
 
 class TestLegacyFormat:
