@@ -7,9 +7,12 @@ if the measured trie-vs-reference *speedup ratio* falls below
 wall-clock makes the guard robust to machine speed: both kernels run on
 the same box, so a uniformly slower host cancels out.
 
-Also re-measures the arena kernel's absolute floors — node-build
-throughput (≥ ``MIN_ARENA_IDS_PER_S``) and flat snapshot round-trip
-throughput (≥ ``MIN_SNAPSHOT_NODES_PER_S``) — and
+Also holds ``BENCH_kernel.json``'s layer cases — the protocol depth-14
+sat walk — under absolute ``LAYER_CEILINGS``, in units of a pure-Python
+calibration loop timed in the same process, and re-measures the arena
+kernel's absolute floors — node-build throughput
+(≥ ``MIN_ARENA_IDS_PER_S``) and flat snapshot round-trip throughput
+(≥ ``MIN_SNAPSHOT_NODES_PER_S``) — and
 re-derives ``BENCH_engine.json``'s definition-level accounting —
 which is *deterministic*, so it must match the recording exactly and the
 multiplier reduction must stay ≥ ``MIN_ENGINE_REDUCTION`` — and
@@ -38,6 +41,7 @@ from benchmarks.bench_kernel import (
     _node_build_case,
     _snapshot_case,
     _time,
+    walk_layer_case,
 )
 from repro.systems import copier, multiplier, protocol
 
@@ -118,6 +122,16 @@ MIN_EXPLORER_WARM_SPEEDUP = 3.0
 #: another CPU-bound job (measured ×1.01) will trip it.
 MIN_PROCESS_SPEEDUP = 1.2
 
+#: Absolute ceilings on single layers, in calibration loops (best-of-5
+#: wall clock of the layer over that of ``bench_kernel``'s fixed
+#: 200 000-iteration pure-Python loop, timed just before it).  Set at
+#: about 3× the highest value measured: the quotiented walk read
+#: 0.42–0.85 loops on a 2-vCPU host, where walking trace by trace took
+#: 27–31.  The guard catches a return to path walking, not drift.
+LAYER_CEILINGS = {
+    "sat walk protocol depth=14 output <= input": (walk_layer_case, 2.5),
+}
+
 #: Recorded baselines below this are too fast to re-time stably.
 MIN_BASELINE_S = 0.04
 
@@ -150,6 +164,23 @@ def measure(system, proc: str, depth: int) -> float:
 _NODE_BUILD = re.compile(r"node build protocol depth=(\d+)")
 _SNAPSHOT = re.compile(r"snapshot round-trip ([\w+]+) depth=(\d+)")
 ALL_SYSTEMS = {"copier": copier, "protocol": protocol, "multiplier": multiplier}
+
+
+def check_layers(report: dict) -> list:
+    """Re-measure the layer cases and hold each under its ceiling."""
+    failures = []
+    for case in report["layer_cases"]:
+        measure_case, ceiling = LAYER_CEILINGS[case["case"]]
+        measured = measure_case()["loops"]
+        ok = measured <= ceiling
+        print(
+            f"{'ok' if ok else 'FAIL':<4} {case['case']:<42} "
+            f"recorded {case['loops']} loops, measured {measured} "
+            f"(ceiling {ceiling})"
+        )
+        if not ok:
+            failures.append(case["case"])
+    return failures
 
 
 def check_arena(report: dict) -> list:
@@ -358,6 +389,7 @@ def main() -> None:
         )
         if not ok:
             failures.append(case["case"])
+    failures += check_layers(report)
     failures += check_arena(report)
     failures += check_engine(json.loads(ENGINE_RESULT_PATH.read_text()))
     failures += check_serve()
@@ -367,7 +399,8 @@ def main() -> None:
             f"recorded performance regressed on: {', '.join(failures)}"
         )
     print(
-        "kernel speedups within tolerance of BENCH_kernel.json; engine "
+        "kernel speedups within tolerance of BENCH_kernel.json and its "
+        "layers under their ceilings; engine "
         "accounting matches BENCH_engine.json; serve warm path beats "
         "cold by the BENCH_serve.json acceptance factor under its "
         "absolute ceiling; warm operational queries beat cold "

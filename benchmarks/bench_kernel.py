@@ -16,7 +16,9 @@ run this file as a script to regenerate ``BENCH_kernel.json``::
     PYTHONPATH=src python benchmarks/bench_kernel.py
 
 The JSON records per-case wall-clock for both kernels and the speedup;
-EXPERIMENTS.md cites it.
+EXPERIMENTS.md cites it.  Its ``layer_cases`` time single layers (the
+warm sat walk) in units of a fixed pure-Python calibration loop, which
+``bench_guard.py`` holds under absolute ceilings.
 """
 
 from __future__ import annotations
@@ -260,6 +262,7 @@ def generate(depths=(4, 5, 6, 7, 8)) -> dict:
             )
         )
 
+    layer_cases = [walk_layer_case()]
     node_build_cases = [_node_build_case(d) for d in (6, 8)]
     snapshot_cases = [
         _snapshot_case((protocol,), 8),
@@ -275,6 +278,9 @@ def generate(depths=(4, 5, 6, 7, 8)) -> dict:
         "description": (
             "Arena trace-trie kernel vs. flat-set reference "
             "(seed representation); best-of-3 cold-kernel wall clock. "
+            "layer_cases time one layer (the warm sat walk), best of 5, "
+            "in loops of a fixed 200000-iteration pure-Python "
+            "calibration loop timed in the same process. "
             "node_build_cases grow one long-lived struct-of-arrays arena "
             "(absolute throughput in interned ids/sec, tracemalloc peak "
             "bytes over the retained population, process peak RSS); "
@@ -283,6 +289,7 @@ def generate(depths=(4, 5, 6, 7, 8)) -> dict:
             "nodes/sec)."
         ),
         "cases": cases,
+        "layer_cases": layer_cases,
         "node_build_cases": node_build_cases,
         "snapshot_cases": snapshot_cases,
         "kernel_stats_after_protocol_depth6": kernel_stats,
@@ -291,6 +298,86 @@ def generate(depths=(4, 5, 6, 7, 8)) -> dict:
         "min_snapshot_nodes_per_s": min(c["nodes_per_s"] for c in snapshot_cases),
     }
     return report
+
+
+# ---------------------------------------------------------------------------
+# Single layers in calibration units (bench_guard's absolute ceilings)
+# ---------------------------------------------------------------------------
+
+#: Iterations of the fixed pure-Python loop that layer wall clocks are
+#: expressed in.  The loop is timed in the same process as the layer, so
+#: a slow or loaded host scales both sides of the ratio.
+CALIBRATION_ITERATIONS = 200_000
+
+
+def _calibration_s(repeat: int = 5) -> float:
+    """Best-of-``repeat`` wall clock of the calibration loop."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        total = 0
+        for i in range(CALIBRATION_ITERATIONS):
+            total += i % 7
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class _SolvedSupply(SatChecker):
+    """A checker whose trace supply is one solved closure: timing
+    ``check`` with a parsed formula times the sat walk alone."""
+
+    def __init__(self, closure, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._closure = closure
+
+    def traces_of(self, process, depth=None):
+        return self._closure
+
+
+def _layer_case(name: str, fn, repeat: int = 5) -> dict:
+    """Best-of-``repeat`` wall clock of ``fn`` over that of the
+    calibration loop, timed just before it."""
+    calibration_s = _calibration_s()
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    case = {
+        "case": name,
+        "seconds": round(best, 6),
+        "calibration_s": round(calibration_s, 6),
+        "loops": round(best / calibration_s, 3),
+    }
+    print(
+        f"{name:<42} {best * 1000:9.2f} ms   calibration "
+        f"{calibration_s * 1000:7.2f} ms   {case['loops']} loops"
+    )
+    return case
+
+
+def walk_layer_case(depth: int = 14) -> dict:
+    """The warm sat walk of ``protocol sat output <= input`` (43 689
+    traces at depth 14): supply solved, formula parsed, walk timed."""
+    from repro.assertions.parser import parse_assertion
+
+    closure = SatChecker(
+        protocol.definitions(),
+        protocol.environment(),
+        SemanticsConfig(depth=depth, sample=2),
+    ).traces_of(Name("protocol"))
+    checker = _SolvedSupply(
+        closure, protocol.definitions(), protocol.environment()
+    )
+    formula = parse_assertion("output <= input", protocol.CHANNELS)
+    target = Name("protocol")
+    result = checker.check(target, formula)
+    if not result.holds or result.traces_checked != len(closure):
+        raise AssertionError(f"walk: unexpected verdict {result}")
+    return _layer_case(
+        f"sat walk protocol depth={depth} output <= input",
+        lambda: checker.check(target, formula),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,22 @@ import time
 from pathlib import Path
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "csp"
-SOURCE = EXAMPLES / "protocol.csp"
 
-FAST = ["--set", "M=0,1", "--spec", "output <= input", "--depth", "6"]
+#: (source, ``repro check`` arguments) of the fast and the slow query.
+FAST = (
+    EXAMPLES / "protocol.csp",
+    ["--set", "M=0,1", "--spec", "output <= input", "--depth", "6"],
+)
 #: Slow enough (~seconds) that a mid-request SIGKILL reliably lands
-#: while the worker is deep in the solve.
-SLOW = ["--set", "M=0,1", "--spec", "output <= input", "--depth", "17"]
+#: while the worker is deep in the sat walk.  Sequential ``copier`` at
+#: depth 32 has 262 141 traces and no two same-length ones share a
+#: (trie node, ``ch(s)``) pair, so the quotiented walk visits them all
+#: (2.4–2.9 s single-shot on a 2-vCPU host).  Protocol at depth 17 walks
+#: in O(pairs), 0.2–0.3 s, and would answer before the kill.
+SLOW = (
+    EXAMPLES / "copier.csp",
+    ["--process", "copier", "--spec", "wire <= input", "--depth", "32"],
+)
 
 BATCH = 6
 
@@ -51,9 +61,10 @@ def _env() -> dict:
     return env
 
 
-def _single_shot(args: list) -> "tuple[str, str, int]":
+def _single_shot(query) -> "tuple[str, str, int]":
+    source, args = query
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "check", str(SOURCE), "--no-cache",
+        [sys.executable, "-m", "repro", "check", str(source), "--no-cache",
          *args],
         env=_env(),
         capture_output=True,
@@ -86,12 +97,20 @@ def _stop_daemon(daemon: subprocess.Popen) -> None:
         daemon.wait()
 
 
-def _check(client, defs, args: list):
+def _check(client, query):
+    from repro.process.parser import parse_definitions
+
+    source, args = query
+
+    def flag(name):
+        return args[args.index(name) + 1] if name in args else None
+
     return client.check(
-        defs,
-        args[args.index("--spec") + 1],
-        sets=[args[args.index("--set") + 1]],
-        depth=int(args[args.index("--depth") + 1]),
+        parse_definitions(source.read_text(encoding="utf-8")),
+        flag("--spec"),
+        process=flag("--process"),
+        sets=[flag("--set")] if "--set" in args else [],
+        depth=int(flag("--depth")),
         no_cache=True,
     )
 
@@ -106,10 +125,8 @@ def _assert_matches(response: dict, reference, label: str) -> None:
 
 
 def main() -> None:
-    from repro.process.parser import parse_definitions
     from repro.server.client import ServerClient
 
-    defs = parse_definitions(SOURCE.read_text(encoding="utf-8"))
     ref_fast = _single_shot(FAST)
     ref_slow = _single_shot(SLOW)
     if ref_fast[2] != 0 or ref_slow[2] != 0:
@@ -123,7 +140,7 @@ def main() -> None:
             with ServerClient(socket_path) as client:
                 for i in range(BATCH):
                     _assert_matches(
-                        _check(client, defs, FAST), ref_fast, f"batch[{i}]"
+                        _check(client, FAST), ref_fast, f"batch[{i}]"
                     )
                 print(f"batch of {BATCH} warm queries: verdicts identical")
 
@@ -134,7 +151,7 @@ def main() -> None:
 
                 def ask():
                     with ServerClient(socket_path) as own:
-                        result["response"] = _check(own, defs, SLOW)
+                        result["response"] = _check(own, SLOW)
 
                 thread = threading.Thread(target=ask, daemon=True)
                 thread.start()
@@ -163,7 +180,7 @@ def main() -> None:
         )
         try:
             with ServerClient(socket_path) as client:
-                response = _check(client, defs, FAST)
+                response = _check(client, FAST)
                 _assert_matches(response, ref_fast, "injected-crash")
                 if response.get("attempts", 1) < 2:
                     raise SystemExit("injected crash never fired")

@@ -9,14 +9,15 @@ quantifying over the bounded trace set.  Free variables shared between
 all values it can take"); :meth:`SatChecker.check_forall` quantifies a
 variable over a sampled domain for that purpose.
 
-The quantification walks the closure's trace **trie** breadth-first,
-threading the channel history incrementally down each edge — the §3.3
-update ``ch(c.m⌢s) = ch(s)[(m⌢ch(s)(c))/c]`` (E10) read left-to-right —
-so the history of a shared prefix is built once, not recomputed from the
-root for every extending trace.  ``trie_walk=False`` restores the flat
-per-trace loop (kept as a cross-check and benchmark baseline); both modes
-visit traces in the same shortest-first order and therefore report the
-same counterexample.
+The quantification walks the closure's hash-consed trace **trie**
+breadth-first, threading the channel history incrementally down each
+edge — the §3.3 update ``ch(c.m⌢s) = ch(s)[(m⌢ch(s)(c))/c]`` (E10) read
+left-to-right — and judges ``R`` once per distinct pair (trie node,
+``ch(s)``) rather than once per trace: two traces reaching the same
+node with the same history have the same continuations and the same
+histories along them, so ``R`` agrees on every extension of both.
+``trie_walk=False`` restores the flat per-trace loop (kept as the
+oracle); both modes report the same verdict, count and counterexample.
 
 An evaluation error while judging ``R`` on a trace (e.g. an unguarded
 out-of-range index) counts as a violation and is reported on the
@@ -27,7 +28,9 @@ history is not invariantly true.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import (
+    Any, Deque, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple, Union,
+)
 
 from repro.assertions.ast import Formula
 from repro.assertions.eval import DEFAULT_EVAL_CONFIG, EvalConfig, evaluate_formula
@@ -46,7 +49,7 @@ from repro.traces.histories import ChannelHistory, ch
 from repro.errors import SemanticsError
 from repro.traces.prefix_closure import FiniteClosure
 from repro.traces.snapshot import SnapshotCache, checkpoint_slot
-from repro.traces.trie import delta_depth
+from repro.traces.trie import ClosureNode, delta_depth
 from repro.values.domains import Domain
 from repro.values.environment import Environment
 
@@ -336,15 +339,12 @@ class SatChecker:
         real trace of the process, so refutations are always *complete*
         results no matter how early the budget would have tripped.
 
-        Two trie-delta skips keep the deepening incremental: a depth
-        whose closure is pointer-identical to the previous one
-        (``delta_depth is None``) ends the schedule — prefix-closed trace
-        sets that stop growing have saturated — and each walk passes the
-        previous verified closure as a *baseline* so subtrees
-        pointer-unchanged since the last depth are counted, not
-        re-evaluated.  Both preserve the verdict bytes of the unskipped
-        schedule (counts include skipped subtrees; a refutation re-walks
-        without the baseline for the canonical counterexample).
+        A depth whose closure is pointer-identical to the previous one
+        (``delta_depth is None``) ends the schedule: prefix-closed trace
+        sets that stop growing have saturated.  Each depth is walked
+        afresh; the quotiented walk costs one visit per (node, ``ch(s)``)
+        pair, so the whole schedule stays within a small factor of the
+        last depth's walk.
         """
         verified: Optional[int] = None
         traces_done = 0
@@ -367,14 +367,7 @@ class SatChecker:
                     )
                     break
                 if self.trie_walk:
-                    result = self._check_trie(
-                        closure, formula, env, bindings, baseline=previous
-                    )
-                    if not result.holds and previous is not None:
-                        # Canonical counterexample: the baseline walk
-                        # found *a* violation in the fresh region; the
-                        # reported one must be the full walk's first.
-                        result = self._check_trie(closure, formula, env, bindings)
+                    result = self._check_trie(closure, formula, env, bindings)
                 else:
                     result = self._check_flat(closure, formula, env, bindings)
                 previous = closure
@@ -419,32 +412,53 @@ class SatChecker:
         formula: Formula,
         env: Environment,
         bindings: Optional[Mapping[str, Any]],
-        baseline: Optional[FiniteClosure] = None,
     ) -> SatResult:
-        """Breadth-first trie walk with the channel history threaded down
-        each edge — one :meth:`ChannelHistory.with_appended` per *node*
-        instead of one full ``ch(s)`` pass per trace.
-
-        ``baseline`` is a closure over the *same* formula/environment
-        whose every trace is already verified (the previous depth of a
-        deepening schedule).  Subtrees pointer-identical to the
-        baseline's — same canonical arena view down a shared event path —
-        are skipped wholesale; their trace count still feeds
-        ``traces_checked``, so a HOLDS result reports exactly the full
-        walk's number.  On a violation the caller re-walks without the
-        baseline (skip order differs, and the counterexample must be the
-        canonical breadth-first one).
-        """
+        """The quotiented walk decides the verdict.  A refutation met after
+        a pair was skipped is walked again canonically, so its
+        ``traces_checked`` is the flat loop's (the number of traces
+        judged up to and including the first violation); a walk that
+        skipped nothing already was the canonical one."""
         root = closure.root
-        base_root = baseline.root if baseline is not None else None
-        if base_root is root:
-            return SatResult(True, None, root.count)
-        queue: Deque[Tuple[Trace, Any, Any, ChannelHistory]] = deque(
-            [((), root, base_root, ChannelHistory())]
+        result, skipped = self._walk_trie(root, formula, env, bindings, quotient=True)
+        if not result.holds and skipped:
+            result, _ = self._walk_trie(root, formula, env, bindings, quotient=False)
+        return result
+
+    def _walk_trie(
+        self,
+        root: ClosureNode,
+        formula: Formula,
+        env: Environment,
+        bindings: Optional[Mapping[str, Any]],
+        quotient: bool,
+    ) -> Tuple[SatResult, bool]:
+        """Breadth-first trie walk with the channel history threaded down
+        each edge — one :meth:`ChannelHistory.with_appended` per visited
+        node instead of one full ``ch(s)`` pass per trace.  Returns the
+        result and whether any pair was skipped.
+
+        With ``quotient``, each pair (trie node, ``ch(s)``) is judged
+        once: a child whose pair an earlier trace already reached is
+        counted (``child.count`` traces), not walked.  Node and history
+        fix every continuation and its history, so the skipped traces
+        agree on ``R`` with ones already walked, and a HOLDS result
+        reports ``root.count`` like the flat loop.
+
+        Two same-length paths that first diverge on one channel differ in
+        that channel's history forever, so pairs can coincide only below
+        a node whose edges lie on two or more channels.  The seen-set is
+        consulted only there: a sequential trie walks without hashing a
+        single history.
+        """
+        queue: Deque[Tuple[Trace, ClosureNode, ChannelHistory, bool]] = deque(
+            [((), root, ChannelHistory(), False)]
         )
+        seen: Set[Tuple[ClosureNode, ChannelHistory]] = set()
+        interleaves: Dict[ClosureNode, bool] = {}
         checked = 0
+        skipped = False
         while queue:
-            trace, node, base, history = queue.popleft()
+            trace, node, history, merging = queue.popleft()
             _governor.tick()
             checked += 1
             try:
@@ -454,30 +468,30 @@ class SatChecker:
                     False,
                     Counterexample(trace, formula, bindings, error=str(exc)),
                     checked,
-                )
+                ), skipped
             if not ok:
                 return SatResult(
                     False, Counterexample(trace, formula, bindings), checked
-                )
-            base_children = dict(base.items) if base is not None else None
-            for event, child in node.items:
-                base_child = (
-                    base_children.get(event) if base_children is not None else None
-                )
-                if base_child is child:
-                    # Pointer-unchanged since the verified baseline:
-                    # every trace below holds already.  Count, don't walk.
-                    checked += child.count
-                    continue
-                queue.append(
-                    (
-                        trace + (event,),
-                        child,
-                        base_child,
-                        history.with_appended(event.channel, event.message),
+                ), skipped
+            items = node.items
+            if quotient and not merging:
+                merging = interleaves.get(node)
+                if merging is None:
+                    merging = interleaves[node] = (
+                        len({event.channel for event, _ in items}) > 1
                     )
-                )
-        return SatResult(True, None, checked)
+            for event, child in items:
+                child_history = history.with_appended(event.channel, event.message)
+                if merging:
+                    # Add and compare sizes: one history hash per pair.
+                    size = len(seen)
+                    seen.add((child, child_history))
+                    if len(seen) == size:
+                        checked += child.count
+                        skipped = True
+                        continue
+                queue.append((trace + (event,), child, child_history, merging))
+        return SatResult(True, None, checked), skipped
 
     def _check_flat(
         self,
@@ -487,7 +501,7 @@ class SatChecker:
         bindings: Optional[Mapping[str, Any]],
     ) -> SatResult:
         """The reference per-trace loop: recompute ``ch(s)`` from scratch
-        for every trace (kept as the cross-check baseline)."""
+        for every trace (kept as the oracle the quotiented walk is held to)."""
         checked = 0
         for trace in closure:
             checked += 1
