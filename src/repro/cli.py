@@ -292,25 +292,17 @@ def cmd_deadlocks(args: argparse.Namespace) -> int:
     defs = _load(args)
     env = environment_from_options(args.set, args.with_cancel)
     semantics = OperationalSemantics(defs, env, sample=args.sample)
-    try:
-        report = Explorer(semantics).deadlock_report(
-            process_target(defs, args.process), args.depth
-        )
-    except BudgetExceeded as exc:
-        checkpoint = exc.checkpoint
-        payload = (
-            checkpoint.payload
-            if checkpoint is not None and isinstance(checkpoint.payload, dict)
-            else {}
-        )
-        found = tuple(payload.get("deadlocks") or ())
+    report = Explorer(semantics).deadlock_report(
+        process_target(defs, args.process), args.depth
+    )
+    if report.trip is not None:
         print(
-            f"PARTIAL: search stopped early with {len(found)} deadlocking "
-            f"trace(s) found so far:"
+            f"PARTIAL: search stopped early with {len(report.deadlocks)} "
+            f"deadlocking trace(s) found so far:"
         )
-        if found:
-            print(format_traces(found))
-        print(render_partial(exc), file=sys.stderr)
+        if report.deadlocks:
+            print(format_traces(report.deadlocks))
+        print(render_partial(report.trip), file=sys.stderr)
         return EXIT_BUDGET
     if not report.deadlocks:
         print(

@@ -19,9 +19,10 @@ class BudgetExceeded(ReproError):
 
     Carries the :class:`~repro.runtime.governor.Checkpoint` describing
     what had been *soundly completed* when the budget ran out — the
-    deepest finished approximation level, traces verified so far, states
-    explored — so callers can report a partial result ("verified to depth
-    k, no counterexample") and, where supported, resume from it.
+    deepest finished level, traces verified so far, states explored and,
+    for a governed check, the snapshot slots a rerun resumes from — so
+    callers can report a partial result ("verified to depth k, no
+    counterexample").
     """
 
     def __init__(self, resource: str, limit: object, checkpoint: object = None) -> None:

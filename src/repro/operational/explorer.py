@@ -16,10 +16,10 @@ Budget accounting is **per call**: each public entry point resets the
 touched-state counter, so one long-lived explorer serving many queries
 does not leak budget from one query into the next (the τ-closure memo
 *is* shared — it caches only completed closures, so reuse is sound).
-Exhaustion raises :class:`~repro.errors.BudgetExceeded` carrying a
-checkpoint whose payload holds the last completed BFS frontier; passing
-that checkpoint back via ``resume=`` continues the search where it
-stopped instead of re-exploring from the initial configuration.
+On exhaustion :meth:`Explorer.visible_traces` raises
+:class:`~repro.errors.BudgetExceeded` whose checkpoint names the deepest
+completed BFS level; :meth:`Explorer.deadlock_report` instead returns
+the deadlocks found so far, with the trip attached to its report.
 """
 
 from __future__ import annotations
@@ -27,29 +27,42 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from repro.errors import BudgetExceeded, OperationalError
+from repro.errors import BudgetExceeded
 from repro.operational.state import State
 from repro.operational.step import OperationalSemantics
 from repro.process.ast import Process
 from repro.runtime import faults as _faults
 from repro.runtime import governor as _governor
-from repro.runtime.governor import Checkpoint
 from repro.traces.events import Event, Trace
 from repro.traces.prefix_closure import FiniteClosure
 
 
 class DeadlockReport(NamedTuple):
-    """Outcome of a deadlock search, including its exploration cost."""
+    """Outcome of a deadlock search, including its exploration cost.
+
+    After a budget trip ``deadlocks`` holds those found before it, every
+    deadlock of length ≤ ``completed_depth`` among them, and ``trip``
+    is the :class:`~repro.errors.BudgetExceeded` that stopped the search.
+    """
 
     deadlocks: Tuple[Trace, ...]  #: shortest-first traces reaching a stuck state
     states_touched: int  #: configurations visited by this search
-    completed_depth: int  #: deepest BFS level fully scanned
-    complete: bool = True  #: False when a budget cut the search short
+    completed_depth: Optional[int]  #: deepest level scanned (None: none was)
+    trip: Optional[BudgetExceeded] = None  #: the budget trip, if one cut it short
+
+    @property
+    def complete(self) -> bool:
+        return self.trip is None
 
     def __str__(self) -> str:
         status = "complete" if self.complete else "PARTIAL"
+        reach = (
+            "with no depth completed"
+            if self.completed_depth is None
+            else f"to depth {self.completed_depth}"
+        )
         return (
-            f"{len(self.deadlocks)} deadlock(s) to depth {self.completed_depth} "
+            f"{len(self.deadlocks)} deadlock(s) {reach} "
             f"({status}, {self.states_touched} states touched)"
         )
 
@@ -107,33 +120,21 @@ class Explorer:
 
     # -- trace enumeration -----------------------------------------------------
 
-    def visible_traces(
-        self,
-        term: Process,
-        depth: int,
-        resume: Optional[Checkpoint] = None,
-    ) -> FiniteClosure:
+    def visible_traces(self, term: Process, depth: int) -> FiniteClosure:
         """Every visible trace of length ≤ ``depth``.
 
-        ``resume`` accepts the checkpoint of a previous budget trip on the
-        same term: the search restarts from the saved frontier, so work
-        already paid for is not repeated.  A budget trip raises
-        :class:`~repro.errors.BudgetExceeded` whose checkpoint holds every
-        trace of length ≤ ``completed_depth`` — a sound under-approximation
-        — plus the frontier needed to resume.
+        A budget trip raises :class:`~repro.errors.BudgetExceeded` whose
+        checkpoint counts the traces of length ≤ ``completed_depth`` found
+        before it — a sound under-approximation.
         """
         self._begin()
-        frontier: Dict[Trace, FrozenSet[State]] = {}
         traces: Set[Trace] = set()
         level = 0
         try:
-            if resume is not None:
-                frontier, traces, level = _restore(resume)
-            else:
-                initial = self.semantics.initial_state(term)
-                frontier = {(): self.tau_closure(initial)}
-                traces = {()}
-            for level in range(level, depth):
+            initial = self.semantics.initial_state(term)
+            frontier = {(): self.tau_closure(initial)}
+            traces = {()}
+            for level in range(depth):
                 governor = _governor.current()
                 if governor is not None:
                     governor.check_deadline()
@@ -141,7 +142,6 @@ class Explorer:
                         phase="explore",
                         completed_depth=level,
                         traces_verified=len(traces),
-                        payload=_payload(frontier, traces, level),
                     )
                 next_frontier: Dict[Trace, Set[State]] = {}
                 for trace, states in frontier.items():
@@ -157,7 +157,9 @@ class Explorer:
                 traces.update(frontier)
         except BudgetExceeded as exc:
             raise exc.with_checkpoint(
-                self._checkpoint("explore", frontier, traces, level, exc)
+                _governor.trip_checkpoint(
+                    exc, "explore", level, len(traces), self._states_touched
+                )
             ) from None
         return FiniteClosure(frozenset(traces), _trusted=True)
 
@@ -169,29 +171,6 @@ class Explorer:
                 result.append((step.event, step.state))
         return result
 
-    def _checkpoint(
-        self,
-        phase: str,
-        frontier: Dict[Trace, FrozenSet[State]],
-        traces: Set[Trace],
-        level: int,
-        exc: BudgetExceeded,
-        extra: Optional[Dict[str, object]] = None,
-    ) -> Checkpoint:
-        inner = exc.checkpoint
-        payload = _payload(frontier, traces, level)
-        if extra:
-            payload.update(extra)
-        return Checkpoint(
-            phase=phase,
-            completed_depth=level,
-            traces_verified=len(traces),
-            states_explored=self._states_touched,
-            nodes_interned=inner.nodes_interned if inner is not None else 0,
-            elapsed=inner.elapsed if inner is not None else 0.0,
-            payload=payload,
-        )
-
     # -- deadlock search ---------------------------------------------------
 
     def deadlock_report(self, term: Process, depth: int) -> DeadlockReport:
@@ -199,14 +178,17 @@ class Explorer:
         transition at all — the behaviour the paper's partial-correctness
         system cannot exclude (§4) — together with the exploration cost.
 
-        On a budget trip the raised :class:`~repro.errors.BudgetExceeded`
-        carries the deadlocks found so far in its checkpoint payload
-        (``payload["deadlocks"]``), sound for every fully scanned level.
+        A budget trip does not raise: the report carries the deadlocks
+        found so far and the trip.  ``completed_depth`` is then the
+        deepest level whose deadlock scan finished (``None`` when a trip
+        in the initial τ-closure left no level scanned), so the report
+        lists every deadlock of length ≤ ``completed_depth``.
         """
         self._begin()
-        frontier: Dict[Trace, FrozenSet[State]] = {}
         deadlocks: List[Trace] = []
-        completed = -1
+        completed: Optional[int] = None
+        scanned = 0  # the traces of level ``completed``
+        trip: Optional[BudgetExceeded] = None
         try:
             initial = self.semantics.initial_state(term)
             frontier = {(): self.tau_closure(initial)}
@@ -217,70 +199,42 @@ class Explorer:
                     governor.record_progress(
                         phase="deadlock", completed_depth=completed
                     )
-                next_frontier: Dict[Trace, Set[State]] = {}
                 for trace, states in sorted(frontier.items()):
                     for state in states:
                         if not self.semantics.steps(state):
                             deadlocks.append(trace)
                             break
+                completed, scanned = level, len(frontier)
+                next_frontier: Dict[Trace, Set[State]] = {}
                 for trace, states in frontier.items():
                     for state in states:
                         for event, successor in self._visible_steps(state):
                             next_frontier.setdefault(trace + (event,), set()).update(
                                 self.tau_closure(successor)
                             )
-                completed = level
                 frontier = {t: frozenset(s) for t, s in next_frontier.items()}
                 if not frontier:
                     break
         except BudgetExceeded as exc:
-            found = tuple(sorted(deadlocks, key=len))
-            raise exc.with_checkpoint(
-                self._checkpoint(
-                    "deadlock",
-                    frontier,
-                    set(frontier),
-                    max(completed, 0),
-                    exc,
-                    extra={"deadlocks": found},
+            trip = exc.with_checkpoint(
+                _governor.trip_checkpoint(
+                    exc, "deadlock", completed, scanned, self._states_touched
                 )
-            ) from None
+            )
         return DeadlockReport(
             deadlocks=tuple(sorted(deadlocks, key=len)),
             states_touched=self._states_touched,
             completed_depth=completed,
-            complete=True,
+            trip=trip,
         )
 
     def find_deadlocks(self, term: Process, depth: int) -> List[Trace]:
-        """Shortest-first deadlock traces (see :meth:`deadlock_report`)."""
-        return list(self.deadlock_report(term, depth).deadlocks)
-
-
-def _payload(
-    frontier: Dict[Trace, FrozenSet[State]],
-    traces: Set[Trace],
-    level: int,
-) -> Dict[str, object]:
-    return {
-        "frontier": dict(frontier),
-        "traces": frozenset(traces),
-        "level": level,
-    }
-
-
-def _restore(
-    checkpoint: Checkpoint,
-) -> Tuple[Dict[Trace, FrozenSet[State]], Set[Trace], int]:
-    payload = checkpoint.payload if isinstance(checkpoint.payload, dict) else {}
-    frontier = payload.get("frontier")
-    if not frontier:
-        raise OperationalError(
-            "checkpoint carries no explorer frontier to resume from"
-        )
-    traces = set(payload.get("traces") or {()})
-    level = int(payload.get("level") or 0)
-    return dict(frontier), traces, level
+        """Shortest-first deadlock traces (see :meth:`deadlock_report`);
+        a budget trip is raised, not returned."""
+        report = self.deadlock_report(term, depth)
+        if report.trip is not None:
+            raise report.trip
+        return list(report.deadlocks)
 
 
 def explore_traces(

@@ -163,7 +163,7 @@ def answer(checker, op: str, target: Name, specs: Sequence[str] = ()) -> Answer:
         )
         if trip is not None:
             if trip.checkpoint is not None:
-                resume_slots = trip.checkpoint.resume_slots()
+                resume_slots = trip.checkpoint.resume_slots
             break
     return Answer(
         "\n".join(v["stdout"] for v in verdicts if v["stdout"]),

@@ -64,7 +64,7 @@ def render_partial(exc: BudgetExceeded) -> str:
     checkpoint = exc.checkpoint
     if checkpoint is not None:
         lines.append(f"partial result: {checkpoint.describe()}")
-        if checkpoint.resume_slots():
+        if checkpoint.resume_slots:
             # Both engines persist deterministic ``fix:…@level{k}``
             # checkpoint slots — tell the user the trip is resumable, not
             # just how far it got.

@@ -13,9 +13,12 @@ property of whatever finishes before the operator crashes:
   every operator/denoter recursion (:func:`tick`);
 * when a limit trips, the governor raises
   :class:`~repro.errors.BudgetExceeded` carrying a :class:`Checkpoint` —
-  the deepest *completed* approximation level, verified-trace count, and
-  (where the caller recorded one) a resume payload — so ``P sat R``
-  degrades to "verified to depth k, no counterexample" instead of dying.
+  the deepest *completed* depth, the traces verified to it and the live
+  counters — so ``P sat R`` degrades to "verified to depth k, no
+  counterexample" instead of dying;
+* the layer that catches a trip knows best what it had completed, so it
+  re-raises the trip with a checkpoint built by :func:`trip_checkpoint`
+  from its own depth and trace count.
 
 The governor is installed ambiently with :func:`activate` (a context
 manager) so the hash-consed interner, which is process-global, can report
@@ -26,8 +29,8 @@ path stays fast.
 Exception safety is the design invariant that makes a trip *sound*: memo
 tables and the interner only ever store **completed** results, so a
 computation aborted at any trigger point leaves them consistent and a
-re-run (or a resume) computes exactly what an undisturbed run would have
-— the property :mod:`repro.runtime.faults` exists to prove.
+re-run computes exactly what an undisturbed run would have — the
+property :mod:`repro.runtime.faults` exists to prove.
 """
 
 from __future__ import annotations
@@ -50,9 +53,9 @@ class Checkpoint:
     ``completed_depth`` is the deepest *fully finished* level — an
     approximation level of the §3.3 chain, a BFS level of the explorer,
     or a verified trace depth of the sat checker — ``None`` when not even
-    level 0 finished.  ``payload`` optionally carries in-process resume
-    data (e.g. the fixpoint chain's completed levels or the explorer's
-    frontier); its shape is owned by whichever subsystem recorded it.
+    level 0 finished.  ``resume_slots`` names the snapshot-cache slots a
+    governed check completed and persisted: what a re-invocation with
+    the same cache directory warm-starts from.
     """
 
     __slots__ = (
@@ -62,7 +65,7 @@ class Checkpoint:
         "states_explored",
         "nodes_interned",
         "elapsed",
-        "payload",
+        "resume_slots",
     )
 
     def __init__(
@@ -73,7 +76,7 @@ class Checkpoint:
         states_explored: int = 0,
         nodes_interned: int = 0,
         elapsed: float = 0.0,
-        payload: Any = None,
+        resume_slots: Tuple[str, ...] = (),
     ) -> None:
         self.phase = phase
         self.completed_depth = completed_depth
@@ -81,7 +84,7 @@ class Checkpoint:
         self.states_explored = states_explored
         self.nodes_interned = nodes_interned
         self.elapsed = elapsed
-        self.payload = payload
+        self.resume_slots = resume_slots
 
     def describe(self) -> str:
         """One human line: what was verified before the budget ran out."""
@@ -97,33 +100,10 @@ class Checkpoint:
         if self.nodes_interned:
             parts.append(f"{self.nodes_interned} nodes interned")
         parts.append(f"{self.elapsed:.2f}s elapsed")
-        slots = self.resume_slots()
-        if slots:
-            parts.append(f"{len(slots)} resume slot(s) persisted")
+        if self.resume_slots:
+            parts.append(f"{len(self.resume_slots)} resume slot(s) persisted")
         prefix = f"{self.phase}: " if self.phase else ""
         return prefix + ", ".join(parts)
-
-    def resume_slots(self) -> Tuple[str, ...]:
-        """Snapshot-cache slots this run completed and persisted — what a
-        re-invocation with the same cache directory warm-starts from."""
-        if isinstance(self.payload, dict):
-            slots = self.payload.get("resume_slots", ())
-            return tuple(slots) if slots else ()
-        return ()
-
-    def as_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
-            "phase": self.phase,
-            "completed_depth": self.completed_depth,
-            "traces_verified": self.traces_verified,
-            "states_explored": self.states_explored,
-            "nodes_interned": self.nodes_interned,
-            "elapsed_s": round(self.elapsed, 4),
-        }
-        slots = self.resume_slots()
-        if slots:
-            data["resume_slots"] = list(slots)
-        return data
 
     def __repr__(self) -> str:
         return f"Checkpoint({self.describe()})"
@@ -221,7 +201,6 @@ class Governor:
         "_phase",
         "_completed_depth",
         "_traces_verified",
-        "_payload",
     )
 
     def __init__(self, budget: Budget) -> None:
@@ -234,7 +213,6 @@ class Governor:
         self._phase = ""
         self._completed_depth: Optional[int] = None
         self._traces_verified = 0
-        self._payload: Any = None
 
     # -- cooperative hooks --------------------------------------------------
 
@@ -298,18 +276,15 @@ class Governor:
         phase: Optional[str] = None,
         completed_depth: Optional[int] = None,
         traces_verified: Optional[int] = None,
-        payload: Any = None,
     ) -> None:
         """Note a *completed* sound unit of work; a later trip's checkpoint
-        reports the most recent record."""
+        reports the most recent record unless a layer restamps it."""
         if phase is not None:
             self._phase = phase
         if completed_depth is not None:
             self._completed_depth = completed_depth
         if traces_verified is not None:
             self._traces_verified = traces_verified
-        if payload is not None:
-            self._payload = payload
 
     def checkpoint(self, **overrides: Any) -> Checkpoint:
         """The current sound-progress snapshot (recorded progress plus live
@@ -321,7 +296,6 @@ class Governor:
             "states_explored": self.states_touched,
             "nodes_interned": self.nodes_interned,
             "elapsed": self.elapsed(),
-            "payload": self._payload,
         }
         fields.update(overrides)
         return Checkpoint(**fields)
@@ -330,21 +304,6 @@ class Governor:
         """Stop now: raise :class:`BudgetExceeded` with the checkpoint."""
         self.exhausted = True
         raise BudgetExceeded(resource, limit, self.checkpoint())
-
-    def counters(self) -> Dict[str, object]:
-        """Governor counters for ``repro stats`` / battery reports."""
-        return {
-            "elapsed_s": round(self.elapsed(), 4),
-            "nodes_interned": self.nodes_interned,
-            "states_touched": self.states_touched,
-            "ticks": self.ticks,
-            "exhausted": self.exhausted,
-            "budget": {
-                "deadline_s": self.budget.deadline,
-                "max_nodes": self.budget.max_nodes,
-                "max_states": self.budget.max_states,
-            },
-        }
 
     def summary(self) -> str:
         """Human-readable counter block (appended to ``repro stats``)."""
@@ -368,6 +327,37 @@ class Governor:
         if self.exhausted:
             lines.append("  status: EXHAUSTED (partial results only)")
         return "\n".join(lines)
+
+
+def trip_checkpoint(
+    exc: BudgetExceeded,
+    phase: str,
+    completed_depth: Optional[int],
+    traces_verified: int,
+    states_explored: Optional[int] = None,
+    resume_slots: Tuple[str, ...] = (),
+) -> Checkpoint:
+    """The checkpoint a layer restamps a caught trip with: its own phase,
+    completed depth and traces verified, and the live counters (states,
+    nodes, elapsed) of the checkpoint that tripped.
+
+    ``states_explored`` overrides the tripped count (the explorer reports
+    its per-call states).  The tripped checkpoint is ``None`` only for
+    the explorer's own ``max_states`` cap, which the explorer restamps
+    before any outer layer sees it.
+    """
+    inner = exc.checkpoint
+    if states_explored is None:
+        states_explored = inner.states_explored if inner is not None else 0
+    return Checkpoint(
+        phase=phase,
+        completed_depth=completed_depth,
+        traces_verified=traces_verified,
+        states_explored=states_explored,
+        nodes_interned=inner.nodes_interned if inner is not None else 0,
+        elapsed=inner.elapsed if inner is not None else 0.0,
+        resume_slots=resume_slots,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (
-    Any, Deque, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple, Union,
+    Any, Deque, Dict, Iterator, List, Mapping, NamedTuple, Optional, Set,
+    Tuple, Union,
 )
 
 from repro.assertions.ast import Formula
@@ -40,7 +41,7 @@ from repro.process.analysis import channel_names, uses_chan
 from repro.process.ast import Name, Process
 from repro.process.definitions import DefinitionList, NO_DEFINITIONS
 from repro.runtime import governor as _governor
-from repro.runtime.governor import Checkpoint, Governor
+from repro.runtime.governor import Governor
 from repro.sat.counterexample import Counterexample
 from repro.semantics.config import DEFAULT_CONFIG, SemanticsConfig
 from repro.semantics.denotation import Denoter
@@ -263,6 +264,30 @@ class SatChecker:
             return None
         return supply  # type: ignore[return-value]
 
+    def _deepening(
+        self, process: Process, governor: Governor
+    ) -> Iterator[Tuple[int, FiniteClosure]]:
+        """The governed deepening schedule: ``(depth, closure)`` for depth
+        0, 1, … up to the configured depth, the deadline checked before
+        each closure is built.
+
+        It stops at the first closure pointer-identical to the previous
+        one (``delta_depth is None``): a prefix-closed trace set that did
+        not grow from depth−1 to depth holds no longer trace either, so
+        it is the answer at every depth.  A loop over the schedule that
+        ends without a trip has therefore covered the configured depth.
+        """
+        previous: Optional[FiniteClosure] = None
+        for depth in range(self.config.depth + 1):
+            governor.check_deadline()
+            closure = self.traces_of(process, depth)
+            if previous is not None and delta_depth(
+                previous.root, closure.root
+            ) is None:
+                return
+            yield depth, closure
+            previous = closure
+
     def traces_partial(self, process: Process) -> PartialTraces:
         """The trace set under the ambient budget: deepen from 0 to the
         configured depth and keep the last closure that *finished*.
@@ -277,24 +302,15 @@ class SatChecker:
             return PartialTraces(self.traces_of(process), self.config.depth, True)
         closure: Optional[FiniteClosure] = None
         verified: Optional[int] = None
-        for depth in range(self.config.depth + 1):
-            try:
-                governor.check_deadline()
-                candidate = self.traces_of(process, depth)
-            except BudgetExceeded:
-                return PartialTraces(closure, verified, False)
-            if closure is not None and delta_depth(closure.root, candidate.root) is None:
-                # The closure did not grow from depth-1 to depth: trace
-                # sets are prefix-closed, so no longer trace can exist
-                # either — this *is* the full answer at any depth.
-                return PartialTraces(candidate, self.config.depth, True)
-            closure = candidate
-            verified = depth
-            governor.record_progress(
-                phase="traces", completed_depth=depth,
-                traces_verified=len(candidate),
-            )
-        return PartialTraces(closure, verified, True)
+        try:
+            for verified, closure in self._deepening(process, governor):
+                governor.record_progress(
+                    phase="traces", completed_depth=verified,
+                    traces_verified=len(closure),
+                )
+        except BudgetExceeded:
+            return PartialTraces(closure, verified, False)
+        return PartialTraces(closure, self.config.depth, True)
 
     # -- checking -----------------------------------------------------------
 
@@ -339,38 +355,19 @@ class SatChecker:
         real trace of the process, so refutations are always *complete*
         results no matter how early the budget would have tripped.
 
-        A depth whose closure is pointer-identical to the previous one
-        (``delta_depth is None``) ends the schedule: prefix-closed trace
-        sets that stop growing have saturated.  Each depth is walked
+        The schedule is :meth:`_deepening`'s.  Each depth is walked
         afresh; the quotiented walk costs one visit per (node, ``ch(s)``)
         pair, so the whole schedule stays within a small factor of the
         last depth's walk.
         """
         verified: Optional[int] = None
         traces_done = 0
-        previous: Optional[FiniteClosure] = None
         try:
-            for depth in range(self.config.depth + 1):
-                governor.check_deadline()
-                closure = self.traces_of(process, depth)
-                if previous is not None and delta_depth(
-                    previous.root, closure.root
-                ) is None:
-                    # Saturated below the configured depth: every deeper
-                    # closure is this one, and its traces are already
-                    # verified — the check holds to the full depth.
-                    verified = self.config.depth
-                    governor.record_progress(
-                        phase="sat",
-                        completed_depth=verified,
-                        traces_verified=traces_done,
-                    )
-                    break
+            for depth, closure in self._deepening(process, governor):
                 if self.trie_walk:
                     result = self._check_trie(closure, formula, env, bindings)
                 else:
                     result = self._check_flat(closure, formula, env, bindings)
-                previous = closure
                 if not result.holds:
                     return SatResult(
                         False,
@@ -379,29 +376,28 @@ class SatChecker:
                         complete=True,
                         verified_depth=depth,
                     )
-                verified = depth
-                traces_done = result.traces_checked
+                verified, traces_done = depth, result.traces_checked
                 governor.record_progress(
-                    phase="sat",
-                    completed_depth=depth,
-                    traces_verified=traces_done,
-                )
-        except BudgetExceeded as exc:
-            inner = exc.checkpoint
-            raise exc.with_checkpoint(
-                Checkpoint(
                     phase="sat",
                     completed_depth=verified,
                     traces_verified=traces_done,
-                    states_explored=inner.states_explored if inner is not None else 0,
-                    nodes_interned=inner.nodes_interned if inner is not None else 0,
-                    elapsed=inner.elapsed if inner is not None else governor.elapsed(),
-                    payload={
-                        "verified_depth": verified,
-                        "resume_slots": tuple(self._checkpoint_slots),
-                    },
+                )
+        except BudgetExceeded as exc:
+            raise exc.with_checkpoint(
+                _governor.trip_checkpoint(
+                    exc,
+                    "sat",
+                    verified,
+                    traces_done,
+                    resume_slots=tuple(self._checkpoint_slots),
                 )
             ) from None
+        # The schedule ran out without a trip: the check holds to the
+        # configured depth, saturated or not.
+        verified = self.config.depth
+        governor.record_progress(
+            phase="sat", completed_depth=verified, traces_verified=traces_done
+        )
         return SatResult(
             True, None, traces_done, complete=True, verified_depth=verified
         )

@@ -239,7 +239,9 @@ class DenotationEngine:
             for rank in sorted(groups):
                 self._run_rank(rank, groups[rank])
         except BudgetExceeded as exc:
-            raise exc.with_checkpoint(self._checkpoint(exc)) from None
+            raise exc.with_checkpoint(
+                _governor.trip_checkpoint(exc, "engine", *self._progress())
+            ) from None
         if self.cache is not None:
             for entry, closure in self._resolved.items():
                 self.cache.put(_slot(entry), closure.root)
@@ -260,7 +262,7 @@ class DenotationEngine:
             for i in pending:
                 self._merge(*self._solve_scc(self._sccs[i], rank))
         if governor is not None:
-            self._record_progress(governor)
+            governor.record_progress("engine", *self._progress())
 
     def _from_cache(self, scc: Scc, rank: int) -> bool:
         """Restore a whole SCC from the snapshot, if every member is there."""
@@ -708,24 +710,11 @@ class DenotationEngine:
 
     # -- budget cooperation ------------------------------------------------
 
-    def _record_progress(self, governor: "_governor.Governor") -> None:
-        governor.record_progress(
-            phase="engine",
-            completed_depth=len(self.reports),
-            traces_verified=sum(len(c) for c in self._resolved.values()),
-            payload={"resolved": tuple(e.pretty() for e in self._resolved)},
-        )
-
-    def _checkpoint(self, exc: BudgetExceeded) -> Checkpoint:
-        inner = exc.checkpoint
-        return Checkpoint(
-            phase="engine",
-            completed_depth=len(self.reports),
-            traces_verified=sum(len(c) for c in self._resolved.values()),
-            states_explored=inner.states_explored if inner is not None else 0,
-            nodes_interned=inner.nodes_interned if inner is not None else 0,
-            elapsed=inner.elapsed if inner is not None else 0.0,
-            payload={"resolved": tuple(e.pretty() for e in self._resolved)},
+    def _progress(self) -> Tuple[int, int]:
+        """Sound progress: SCCs solved so far, and their traces."""
+        return (
+            len(self.reports),
+            sum(len(c) for c in self._resolved.values()),
         )
 
     # -- results -----------------------------------------------------------

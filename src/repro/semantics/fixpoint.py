@@ -40,7 +40,6 @@ from repro.process.analysis import (
 from repro.process.definitions import ArrayDef, DefinitionList
 from repro.runtime import faults as _faults
 from repro.runtime import governor as _governor
-from repro.runtime.governor import Checkpoint
 from repro.semantics.config import DEFAULT_CONFIG, SemanticsConfig
 from repro.semantics.denotation import Denoter
 from repro.traces.prefix_closure import STOP_CLOSURE, FiniteClosure
@@ -112,7 +111,6 @@ class ApproximationChain:
         env: Optional[Environment] = None,
         config: SemanticsConfig = DEFAULT_CONFIG,
         kernel: str = "trie",
-        resume_from: Optional[Checkpoint] = None,
     ) -> None:
         self.definitions = definitions
         self.env = env if env is not None else Environment()
@@ -133,25 +131,9 @@ class ApproximationChain:
             uses_chan(d.body) for d in definitions
         ):
             self.solve_depth = config.hide_depth
-        if resume_from is not None:
-            levels = (
-                resume_from.payload.get("levels")
-                if isinstance(resume_from.payload, dict)
-                else None
-            )
-            if not levels:
-                raise SemanticsError(
-                    "checkpoint carries no fixpoint levels to resume from"
-                )
-            # The interned roots in the checkpoint stay canonical for the
-            # life of the process, so the chain continues exactly where
-            # the budget stopped it — iteration cost already spent is not
-            # re-spent.
-            self._levels = list(levels)
-        else:
-            self._levels = [self._bottom()]
+        self._levels = [self._bottom()]
         #: Entries whose root changed at the latest computed level; None
-        #: means unknown (fresh or resumed chain) and forces a full level.
+        #: means unknown (fresh chain) and forces a full level.
         self._changed_last: Optional[set] = None
         self._entry_deps: Optional[Dict[EntryKey, Tuple[EntryKey, ...]]] = None
         self._consult: Optional[Dict[str, Dict[str, int]]] = None
@@ -218,15 +200,15 @@ class ApproximationChain:
         Cooperates with the ambient governor: the wall-clock deadline is
         force-checked at every level boundary, and a budget trip anywhere
         inside the level's denotations is re-raised with a checkpoint
-        holding the chain's *completed* levels — a sound partial result
-        (every aᵢ under-approximates the fixpoint) that a later chain can
-        resume from via ``resume_from``.
+        naming the chain's deepest *completed* level — a sound partial
+        result (every aᵢ under-approximates the fixpoint).
         """
         _faults.maybe_fail("fixpoint.step")
         governor = _governor.current()
+        progress = self._progress()
         if governor is not None:
             governor.check_deadline()
-            self._record_progress(governor)
+            governor.record_progress("fixpoint", *progress)
         previous = self._levels[-1]
         denoter = Denoter(
             self.definitions,
@@ -299,11 +281,13 @@ class ApproximationChain:
                             ),
                         )
         except BudgetExceeded as exc:
-            raise exc.with_checkpoint(self._checkpoint(exc)) from None
+            raise exc.with_checkpoint(
+                _governor.trip_checkpoint(exc, "fixpoint", *progress)
+            ) from None
         self._levels.append(nxt)
         self._changed_last = now_changed
         if governor is not None:
-            self._record_progress(governor)
+            governor.record_progress("fixpoint", *self._progress())
         return nxt
 
     def _beyond_horizon(
@@ -336,27 +320,12 @@ class ApproximationChain:
                 return False
         return True
 
-    def _record_progress(self, governor: "_governor.Governor") -> None:
-        governor.record_progress(
-            phase="fixpoint",
-            completed_depth=len(self._levels) - 1,
-            traces_verified=sum(
-                len(c) for c in _level_closures(self._levels[-1])
-            ),
-            payload={"levels": tuple(self._levels)},
-        )
-
-    def _checkpoint(self, exc: BudgetExceeded) -> Checkpoint:
-        """The chain's own view of sound progress: a_{0..k} completed."""
-        inner = exc.checkpoint
-        return Checkpoint(
-            phase="fixpoint",
-            completed_depth=len(self._levels) - 1,
-            traces_verified=sum(len(c) for c in _level_closures(self._levels[-1])),
-            states_explored=inner.states_explored if inner is not None else 0,
-            nodes_interned=inner.nodes_interned if inner is not None else 0,
-            elapsed=inner.elapsed if inner is not None else 0.0,
-            payload={"levels": tuple(self._levels)},
+    def _progress(self) -> Tuple[int, int]:
+        """The chain's sound progress: a_{0..k} completed, and the traces
+        of a_k."""
+        return (
+            len(self._levels) - 1,
+            sum(len(c) for c in _level_closures(self._levels[-1])),
         )
 
     def level(self, i: int) -> Approximation:

@@ -1,9 +1,9 @@
-"""Budgets, governors, checkpoints, and resume.
+"""Budgets, governors, and checkpoints.
 
 Covers the governor in isolation (budget validation, ambient
 activation), each budget axis threaded through a real subsystem
-(interner, fixpoint chain, explorer), the per-call accounting contract
-of the explorer, and checkpoint-based resumption.
+(interner, fixpoint chain, explorer), and the per-call accounting
+contract of the explorer.
 """
 
 import pytest
@@ -29,7 +29,7 @@ from repro.operational.step import OperationalSemantics
 from repro.process.ast import Name
 from repro.process.parser import parse_definitions
 from repro.runtime import governor as gov_mod
-from repro.runtime.governor import Budget, Checkpoint, activate
+from repro.runtime.governor import Budget, activate
 from repro.semantics.config import SemanticsConfig
 from repro.semantics.denotation import denote
 from repro.semantics.fixpoint import ApproximationChain
@@ -117,7 +117,7 @@ class TestTrips:
             with pytest.raises(BudgetExceeded) as info:
                 Explorer(semantics).visible_traces(ArrayRef("count", const(0)), 100)
         assert info.value.resource == "explored-state"
-        # the explorer enriched the trip with its own sound frontier
+        # the explorer restamped the trip with its own completed depth
         assert info.value.checkpoint.phase == "explore"
 
     def test_trip_checkpoint_reports_recorded_progress(self):
@@ -173,52 +173,20 @@ class TestExplorerAccounting:
             report.deadlocks
         )
 
-
-class TestResume:
-    def test_fixpoint_resume_matches_ungoverned_run(self):
-        clear_interner()
-        defs = parse_definitions(COPIER)
-        cfg = SemanticsConfig(depth=6, sample=2)
-        governed = ApproximationChain(defs, config=cfg)
-        with activate(Budget(max_nodes=10).start()):
-            with pytest.raises(BudgetExceeded) as info:
-                governed.run_until_stable()
-        checkpoint = info.value.checkpoint
-        assert checkpoint.phase == "fixpoint"
-        assert isinstance(checkpoint.payload, dict)
-        assert checkpoint.payload["levels"]
-        resumed = ApproximationChain(defs, config=cfg, resume_from=checkpoint)
-        assert resumed.levels_computed() == len(checkpoint.payload["levels"])
-        fresh = ApproximationChain(defs, config=cfg)
-        assert resumed.closure_for("copier") == fresh.closure_for("copier")
-
-    def test_explorer_resume_matches_full_run(self):
-        defs = parse_definitions("p = a!0 -> p | b!1 -> STOP")
-        semantics = OperationalSemantics(defs, sample=2)
-        full_explorer = Explorer(semantics)
-        full = full_explorer.visible_traces(Name("p"), 6)
-        cost = full_explorer.states_touched
-        tight = Explorer(OperationalSemantics(defs, sample=2), max_states=max(1, cost // 2))
-        with pytest.raises(BudgetExceeded) as info:
-            tight.visible_traces(Name("p"), 6)
-        checkpoint = info.value.checkpoint
-        resumed = Explorer(OperationalSemantics(defs, sample=2)).visible_traces(
-            Name("p"), 6, resume=checkpoint
+    def test_tripped_deadlock_report_returns_its_trip(self):
+        # net is stuck after its hidden w-step, which max_states=1 cuts off
+        defs = parse_definitions(
+            "p = w!1 -> STOP; q = w?x:{1} -> STOP; net = chan w; (p || q)"
         )
-        assert resumed == full
-
-    def test_fixpoint_resume_rejects_empty_checkpoint(self):
-        defs = parse_definitions(COPIER)
-        with pytest.raises(SemanticsError, match="no fixpoint levels"):
-            ApproximationChain(defs, resume_from=Checkpoint(phase="sat"))
-
-    def test_explorer_resume_rejects_empty_checkpoint(self):
-        defs = parse_definitions(COPIER)
         semantics = OperationalSemantics(defs, sample=2)
-        with pytest.raises(OperationalError, match="no explorer frontier"):
-            Explorer(semantics).visible_traces(
-                Name("copier"), 3, resume=Checkpoint(phase="explore")
-            )
+        report = Explorer(semantics, max_states=1).deadlock_report(Name("net"), 2)
+        assert not report.complete and report.deadlocks == ()
+        assert report.completed_depth is None
+        assert report.trip.checkpoint.completed_depth is None
+        assert "no depth completed" in str(report)
+        with pytest.raises(BudgetExceeded, match="explorer-state"):
+            Explorer(semantics, max_states=1).find_deadlocks(Name("net"), 2)
+        assert Explorer(semantics).find_deadlocks(Name("net"), 2) == [()]
 
 
 class TestExitCodes:

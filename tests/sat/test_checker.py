@@ -305,7 +305,7 @@ class TestGovernedCheckpointResume:
             with activate(Budget(**{resource: limit}).start()):
                 checker.check(Name("relay"), "passq <= feedq")
         checkpoint = exc_info.value.checkpoint
-        slots = checkpoint.resume_slots()
+        slots = checkpoint.resume_slots
         assert slots and all(is_checkpoint_slot(s) for s in slots)
         assert all(s.startswith(f"fix:{engine}:relay@level") for s in slots)
         assert checkpoint.completed_depth is not None

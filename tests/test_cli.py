@@ -321,7 +321,7 @@ class TestBudgetsAndExitCodes:
         assert "PARTIAL" in captured.out
         assert "input.0" in captured.out  # the sound prefix is still printed
 
-    def test_deadlocks_budget_partial(self, copier_file, capsys):
+    def test_deadlocks_budget_partial(self, copier_file, tmp_path, capsys):
         # the copier network keeps running, so a one-state budget trips
         code = main(
             [
@@ -339,6 +339,57 @@ class TestBudgetsAndExitCodes:
         captured = capsys.readouterr()
         assert "PARTIAL" in captured.out
         assert "budget exhausted" in captured.err
+
+        # A trip after the deadlocks of depth 3 were found lists them.
+        table = tmp_path / "philosophers.csp"
+        table.write_text(philosophers.source(3))
+        code = main(
+            [
+                "deadlocks",
+                str(table),
+                "--process",
+                "table",
+                "--sample",
+                "3",
+                "--depth",
+                "12",
+                "--max-states",
+                "20",
+            ]
+        )
+        assert code == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "PARTIAL: search stopped early with 6 deadlocking trace(s) found "
+            "so far:",
+            "  ⟨grab[0].0, grab[1].1, grab[2].2⟩",
+            "  ⟨grab[0].0, grab[2].2, grab[1].1⟩",
+            "  ⟨grab[1].1, grab[0].0, grab[2].2⟩",
+            "  ⟨grab[1].1, grab[2].2, grab[0].0⟩",
+            "  ⟨grab[2].2, grab[0].0, grab[1].1⟩",
+            "  ⟨grab[2].2, grab[1].1, grab[0].0⟩",
+        ]
+
+    def test_deadlocks_trip_in_initial_tau_closure_claims_no_depth(
+        self, tmp_path, capsys
+    ):
+        # ⟨⟩ deadlocks once the hidden w-communication is done, so a trip
+        # inside the initial τ-closure has scanned no depth at all.
+        path = tmp_path / "tau.csp"
+        path.write_text(
+            "p = w!1 -> STOP; q = w?x:{1} -> STOP; net = chan w; (p || q)"
+        )
+        argv = ["deadlocks", str(path), "--process", "net", "--depth", "2"]
+        assert main(argv) == 1
+        assert "  ⟨⟩" in capsys.readouterr().out.splitlines()
+        assert main(argv + ["--max-states", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            "PARTIAL: search stopped early with 0 deadlocking trace(s) found "
+            "so far:"
+        ]
+        assert "partial result: deadlock: no depth completed" in captured.err
+        assert "verified to depth" not in captured.err
 
     def test_deadlocks_reports_states_touched(self, deadlock_file, capsys):
         code = main(["deadlocks", deadlock_file, "--process", "net", "--depth", "2"])
