@@ -1,14 +1,19 @@
-"""Benchmark the payoff of cached operational closures: a warm
-``--engine operational`` query vs a cold breadth-first search.
+"""Benchmark the operational explorer and the cached closures that spare it.
 
-A cold ``--engine operational`` run pays the full BFS — every τ-closure,
-every visible step — on every invocation.  A warm run opens the snapshot
-file and serves the ``traces:operational:{name}:d{depth}`` closure slot,
-the same slot family the denotational engine caches under, without
-building an explorer.  This module records both sides and their ratio
-to ``BENCH_explorer.json``; ``bench_guard.py`` re-measures the ratio
-and fails CI if the warm path stops beating the cold path by the
-acceptance factor.
+Two kinds of case are recorded to ``BENCH_explorer.json``:
+
+* ``explorer_cases`` — a cold ``--engine operational`` exploration
+  against a warm run, which opens the snapshot file and serves the
+  ``traces:operational:{name}:d{depth}`` closure slot (the slot family
+  the denotational engine caches under) without building an explorer.
+  The warm closure must be pointer-identical to the cold one and the
+  warm run must touch no state.
+* ``layer_cases`` — single explorer layers, best of 5, in loops of
+  ``bench_kernel``'s fixed pure-Python calibration loop timed in the
+  same process: cold explorations (fresh explorer, fresh arena), the
+  deadlock searches of cold-cli's two ``deadlocks`` queries, and one
+  warm slot reload.  ``bench_guard.py`` holds each under an absolute
+  ceiling.
 
 Run as::
 
@@ -23,13 +28,15 @@ import tempfile
 import time
 from pathlib import Path
 
+from benchmarks.bench_kernel import _layer_case
 from repro.operational.explorer import Explorer
 from repro.operational.step import OperationalSemantics
 from repro.process.ast import Name
 from repro.sat.checker import SatChecker
 from repro.semantics.config import SemanticsConfig
-from repro.systems import copier, philosophers, protocol
+from repro.systems import buffer, copier, philosophers, protocol
 from repro.traces.snapshot import SnapshotCache, cache_key
+from repro.traces.trie import private_state
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_explorer.json"
 
@@ -45,60 +52,117 @@ COLD_RUNS = 3
 WARM_RUNS = 5
 
 
+def _semantics(system, sample: int, *args) -> OperationalSemantics:
+    return OperationalSemantics(
+        system.definitions(*args), system.environment(), sample=sample
+    )
+
+
 def _cold_explore(system, proc: str, depth: int, sample: int):
     """One cold exploration on a fresh explorer (fresh τ-closure memo —
     the honest cold cost)."""
-    semantics = OperationalSemantics(
-        system.definitions(), system.environment(), sample=sample
-    )
-    explorer = Explorer(semantics)
+    explorer = Explorer(_semantics(system, sample))
     closure = explorer.visible_traces(Name(proc), depth)
     return closure, explorer.states_touched
 
 
-def _explorer_case(name: str, system, proc: str, depth: int, sample: int) -> dict:
-    defs, env = system.definitions(), system.environment()
+def _checker(system, depth: int, sample: int, directory: str) -> SatChecker:
+    defs = system.definitions()
     config = SemanticsConfig(depth=depth, sample=sample)
+    cache = SnapshotCache(Path(directory), cache_key(defs, config))
+    return SatChecker(
+        defs, system.environment(), config, engine="operational", cache=cache
+    )
 
+
+def _seed_slot(system, proc: str, depth: int, sample: int, directory: str) -> None:
+    """Explore once and persist the closure slot a warm run reloads."""
+    seed = _checker(system, depth, sample, directory)
+    seed.traces_of(Name(proc))
+    seed.cache.save()
+
+
+def _warm_reload(system, proc: str, depth: int, sample: int, directory: str):
+    """Open the snapshot file and serve the closure slot — the whole warm
+    re-run; returns the closure and the states its explorer touched."""
+    checker = _checker(system, depth, sample, directory)
+    closure = checker.traces_of(Name(proc))
+    explorer = checker._operational
+    return closure, explorer.states_touched if explorer is not None else 0
+
+
+def _explorer_case(name: str, system, proc: str, depth: int, sample: int) -> dict:
     cold_s = float("inf")
     for _ in range(COLD_RUNS):
         start = time.perf_counter()
         cold_closure, cold_states = _cold_explore(system, proc, depth, sample)
         cold_s = min(cold_s, time.perf_counter() - start)
 
-    def checker(directory: str) -> SatChecker:
-        cache = SnapshotCache(Path(directory), cache_key(defs, config))
-        return SatChecker(defs, env, config, engine="operational", cache=cache)
-
     with tempfile.TemporaryDirectory(prefix="repro-bench-explorer-") as tmp:
-        seed = checker(tmp)
-        seed.traces_of(Name(proc))
-        seed.cache.save()
-
+        _seed_slot(system, proc, depth, sample, tmp)
         warm = []
         for _ in range(WARM_RUNS):
-            # Timed: opening (reading and decoding) the snapshot file and
-            # serving the closure slot — the whole warm re-run.
             start = time.perf_counter()
-            warm_checker = checker(tmp)
-            closure = warm_checker.traces_of(Name(proc))
+            closure, warm_states = _warm_reload(system, proc, depth, sample, tmp)
             warm.append(time.perf_counter() - start)
             if closure != cold_closure:
                 raise SystemExit(f"warm closure diverged on {name!r}")
-            explorer = warm_checker._operational
-            warm_states = explorer.states_touched if explorer is not None else 0
     warm_s = sorted(warm)[len(warm) // 2]  # median: damps GC spikes
     return {
         "case": name,
         "traces": len(cold_closure),
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 5),
-        "speedup": round(cold_s / warm_s, 1) if warm_s else float("inf"),
         "cold_states_touched": cold_states,
         "warm_states_touched": warm_states,
         "cold_runs": COLD_RUNS,
         "warm_runs": WARM_RUNS,
     }
+
+
+# -- single layers in calibration loops (bench_guard's ceilings) --------------
+
+
+def _cold_layer(semantics: OperationalSemantics, query: str, proc: str, depth: int):
+    """``Explorer.<query>`` on a fresh explorer and a fresh arena, as a
+    one-shot ``repro`` run has them."""
+
+    def run() -> None:
+        with private_state():
+            getattr(Explorer(semantics), query)(Name(proc), depth)
+
+    return run
+
+
+def _warm_layer_case(name: str, system, proc: str, depth: int, sample: int) -> dict:
+    with tempfile.TemporaryDirectory(prefix="repro-bench-explorer-") as tmp:
+        _seed_slot(system, proc, depth, sample, tmp)
+        _, states = _warm_reload(system, proc, depth, sample, tmp)
+        if states:
+            raise SystemExit(f"warm reload touched {states} states on {name!r}")
+        return _layer_case(
+            name, lambda: _warm_reload(system, proc, depth, sample, tmp)
+        )
+
+
+#: case name → a function that measures it (``_layer_case`` record)
+LAYER_CASES = {
+    "cold explore copier.network depth=9": lambda name: _layer_case(
+        name, _cold_layer(_semantics(copier, 2), "visible_traces", "network", 9)
+    ),
+    "cold explore philosophers(4).table depth=6": lambda name: _layer_case(
+        name, _cold_layer(_semantics(philosophers, 4, 4), "visible_traces", "table", 6)
+    ),
+    "deadlocks philosophers(3).table depth=5": lambda name: _layer_case(
+        name, _cold_layer(_semantics(philosophers, 3, 3), "deadlock_report", "table", 5)
+    ),
+    "deadlocks buffer(3).buffer depth=4": lambda name: _layer_case(
+        name, _cold_layer(_semantics(buffer, 3, 3), "deadlock_report", "buffer", 4)
+    ),
+    "warm reload philosophers.table depth=5": lambda name: _warm_layer_case(
+        name, philosophers, "table", 5, 3
+    ),
+}
 
 
 def generate() -> dict:
@@ -109,18 +173,24 @@ def generate() -> dict:
             f"{case['case']:<44} cold {case['cold_s']*1000:8.1f} ms "
             f"({case['cold_states_touched']} states)   "
             f"warm {case['warm_s']*1000:7.2f} ms "
-            f"({case['warm_states_touched']} states)   ×{case['speedup']}"
+            f"({case['warm_states_touched']} states)"
         )
         cases.append(case)
+    layer_cases = [measure(name) for name, measure in LAYER_CASES.items()]
     return {
         "description": (
-            "warm operational query served from the cached "
+            "explorer_cases: warm operational query served from the cached "
             "traces:operational:{name}:d{depth} closure slot (snapshot "
             "file opened and decoded inside the timed region) vs cold "
-            "breadth-first exploration (pointer-identical closures)"
+            "breadth-first exploration (pointer-identical closures). "
+            "layer_cases: cold explorations and deadlock searches (fresh "
+            "explorer, fresh arena) and a warm slot reload, best of 5, in "
+            "loops of a fixed 200000-iteration pure-Python calibration "
+            "loop timed in the same process."
         ),
         "python": sys.version.split()[0],
         "explorer_cases": cases,
+        "layer_cases": layer_cases,
     }
 
 

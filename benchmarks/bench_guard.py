@@ -20,7 +20,9 @@ re-times the warm-cache case against ``MIN_WARM_SPEEDUP``.  Finally it
 re-measures ``BENCH_serve.json``'s warm-daemon-vs-cold-CLI cases and
 fails if the daemon's warm path stops beating a cold invocation by
 ``MIN_SERVE_SPEEDUP`` or its median warm query exceeds
-``MAX_SERVE_WARM_S``.
+``MAX_SERVE_WARM_S``, and holds ``BENCH_explorer.json``'s layer cases
+under ``EXPLORER_LAYER_CEILINGS`` (warm operational queries must still
+touch no state).
 
 Run in CI (or by hand) as::
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import partial
 
 from benchmarks.bench_kernel import (
     ENGINE_RESULT_PATH,
@@ -106,11 +109,21 @@ MIN_SERVE_SPEEDUP = 5.0
 #: query (a cold run is 120–300 ms).
 MAX_SERVE_WARM_S = 0.025
 
-#: Warm operational queries (served from cached ``traces:operational:``
-#: closure slots) must beat a cold breadth-first exploration by at least
-#: this factor.  The floor is loose because the warm side is under a
-#: millisecond of snapshot decode and timing-noisy on loaded hosts.
-MIN_EXPLORER_WARM_SPEEDUP = 3.0
+#: Absolute ceilings on ``BENCH_explorer.json``'s layer cases, in
+#: calibration loops (as ``LAYER_CEILINGS``), at about 3× the highest
+#: value of five runs on a 2-vCPU host: copier 0.059–0.07 loops,
+#: 4-seat philosophers 2.2–2.8, the deadlock searches 0.59–0.83 and
+#: 0.6–0.84, the warm reload 0.1–0.12.  Walking trace by trace
+#: measured 5.3, 16.5, 2.6 and 8.6 on the four cold cases.  No ratio
+#: of warm to cold is held: with cold explorations of a millisecond or
+#: so, ``explorer_cases`` records ×1.1–5.3, which says nothing stable.
+EXPLORER_LAYER_CEILINGS = {
+    "cold explore copier.network depth=9": 0.25,
+    "cold explore philosophers(4).table depth=6": 8.5,
+    "deadlocks philosophers(3).table depth=5": 2.5,
+    "deadlocks buffer(3).buffer depth=4": 2.5,
+    "warm reload philosophers.table depth=5": 0.45,
+}
 
 #: Forked workers (``jobs=2``) must beat a sequential solve (``jobs=1``)
 #: by at least this factor on the largest recorded twin-machine case:
@@ -166,11 +179,12 @@ _SNAPSHOT = re.compile(r"snapshot round-trip ([\w+]+) depth=(\d+)")
 ALL_SYSTEMS = {"copier": copier, "protocol": protocol, "multiplier": multiplier}
 
 
-def check_layers(report: dict) -> list:
-    """Re-measure the layer cases and hold each under its ceiling."""
+def check_layers(recorded: list, ceilings: dict) -> list:
+    """Re-measure the recorded layer cases and hold each under its
+    ceiling; ``ceilings`` maps a case name to (measure, ceiling)."""
     failures = []
-    for case in report["layer_cases"]:
-        measure_case, ceiling = LAYER_CEILINGS[case["case"]]
+    for case in recorded:
+        measure_case, ceiling = ceilings[case["case"]]
         measured = measure_case()["loops"]
         ok = measured <= ceiling
         print(
@@ -342,36 +356,33 @@ def check_serve() -> list:
 
 
 def check_explorer() -> list:
-    """Re-measure the warm-vs-cold exploration cases recorded in
-    ``BENCH_explorer.json`` and hold them to the acceptance bar: a warm
-    query is a cache hit that touches no state.  The warm closure must
-    also stay pointer-identical to the cold one (``_explorer_case``
-    raises on divergence)."""
+    """Re-measure ``BENCH_explorer.json``: a warm query is a cache hit
+    that touches no state and serves a closure pointer-identical to the
+    cold one (``_explorer_case`` raises on divergence), and each layer
+    case stays under its absolute ceiling."""
     from benchmarks.bench_explorer import (
         EXPLORER_CASES,
+        LAYER_CASES,
         RESULT_PATH as EXPLORER_RESULT_PATH,
         _explorer_case,
     )
 
     failures = []
     report = json.loads(EXPLORER_RESULT_PATH.read_text())
-    recorded = {case["case"]: case for case in report["explorer_cases"]}
     for name, system, proc, depth, sample in EXPLORER_CASES:
         measured = _explorer_case(name, system, proc, depth, sample)
-        ok = (
-            measured["speedup"] >= MIN_EXPLORER_WARM_SPEEDUP
-            and measured["warm_states_touched"] == 0
-        )
+        ok = measured["warm_states_touched"] == 0
         print(
             f"{'ok' if ok else 'FAIL':<4} {name:<42} "
-            f"recorded ×{recorded[name]['speedup']:<6} "
-            f"measured ×{measured['speedup']} "
-            f"(floor ×{MIN_EXPLORER_WARM_SPEEDUP}; "
-            f"{measured['warm_states_touched']} warm states touched)"
+            f"{measured['warm_states_touched']} warm states touched"
         )
         if not ok:
             failures.append(name)
-    return failures
+    ceilings = {
+        name: (partial(LAYER_CASES[name], name), ceiling)
+        for name, ceiling in EXPLORER_LAYER_CEILINGS.items()
+    }
+    return failures + check_layers(report["layer_cases"], ceilings)
 
 
 def main() -> None:
@@ -389,7 +400,7 @@ def main() -> None:
         )
         if not ok:
             failures.append(case["case"])
-    failures += check_layers(report)
+    failures += check_layers(report["layer_cases"], LAYER_CEILINGS)
     failures += check_arena(report)
     failures += check_engine(json.loads(ENGINE_RESULT_PATH.read_text()))
     failures += check_serve()
@@ -403,8 +414,8 @@ def main() -> None:
         "layers under their ceilings; engine "
         "accounting matches BENCH_engine.json; serve warm path beats "
         "cold by the BENCH_serve.json acceptance factor under its "
-        "absolute ceiling; warm operational queries beat cold "
-        "exploration by the BENCH_explorer.json acceptance factor"
+        "absolute ceiling; explorer layers under their "
+        "BENCH_explorer.json ceilings"
     )
 
 

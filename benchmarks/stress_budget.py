@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -62,14 +63,21 @@ CLAIM = re.compile(r"verified to depth (\d+)")
 
 
 def run_cli(argv):
-    return subprocess.run(
-        [sys.executable, "-m", "repro.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        cwd=REPO,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-    )
+    """Run ``repro`` on ``argv``.  A ``check`` or ``traces`` run that names
+    no cache gets a fresh ``--cache-dir`` of its own, so a governed run
+    never resumes from what another run (or the user) left behind and no
+    run writes the user's ``~/.cache/repro``."""
+    with tempfile.TemporaryDirectory(prefix="repro-stress-") as cache_dir:
+        if argv[0] in ("check", "traces") and "--no-cache" not in argv:
+            argv = [*argv, "--cache-dir", cache_dir]
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=REPO,
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        )
 
 
 def _listed(stdout: str):

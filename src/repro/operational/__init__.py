@@ -10,9 +10,10 @@ internal communications introduced by ``chan``).
 * :mod:`repro.operational.step`      — the transition relation;
 * :mod:`repro.operational.scheduler` — single-run simulation under a
   scheduling policy;
-* :mod:`repro.operational.explorer`  — exhaustive BFS over the state
-  space, producing the visible-trace closure (cross-validated against the
-  denotational semantics in the integration tests).
+* :mod:`repro.operational.explorer`  — exhaustive breadth-first subset
+  construction over τ-closed state sets, producing the visible-trace
+  closure (cross-validated against the denotational semantics in the
+  integration tests).
 """
 
 from repro.operational.explorer import Explorer, explore_traces

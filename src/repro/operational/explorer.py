@@ -1,22 +1,43 @@
 """Exhaustive exploration of a network's visible behaviours.
 
-The explorer performs a breadth-first search of the configuration space,
-treating internal (τ) steps as invisible: it computes, level by level,
-the set of *visible traces* of length ≤ depth together with the
-configurations reachable under each trace.  The result is a
-:class:`~repro.traces.prefix_closure.FiniteClosure` directly comparable
-with the bounded denotational semantics — the consistency check at the
-heart of the integration test suite.
+The explorer is a subset construction over the configuration space,
+treating internal (τ) steps as invisible.  Level ``k`` of its
+breadth-first walk holds the distinct *τ-closed state sets* that the
+visible traces of length ``k`` reach — not the traces themselves.  Two
+traces that reach the same set have the same futures, because what a
+network can do next depends only on the configurations it may be in.
+So each set is stepped once per level however many traces reach it,
+and the closure is interned bottom-up straight into the trie arena,
+hash-consed over (set, remaining depth):
+
+* node(S, 0) = ⟦STOP⟧;
+* node(S, k) = {e ↦ node(τ(succ_e(S)), k − 1)}.
+
+The result is a :class:`~repro.traces.prefix_closure.FiniteClosure`
+directly comparable with the bounded denotational semantics — the
+consistency check at the heart of the integration test suite.  Nodes
+are interned level by level from the deepest up, each node's events in
+:meth:`~repro.traces.events.Event.sort_key` order, and the sets of a
+level in the order the walk discovered them, so the arena rows (and
+the snapshot files written from them) do not depend on the hash seed.
 
 τ-cycles (e.g. the protocol's unbounded NACK retransmissions) are finite
 in configuration space and handled by the closure's visited set; a
 ``max_states`` budget guards against genuinely infinite-state networks.
 
-Budget accounting is **per call**: each public entry point resets the
-touched-state counter, so one long-lived explorer serving many queries
-does not leak budget from one query into the next (the τ-closure memo
-*is* shared — it caches only completed closures, so reuse is sound).
-On exhaustion :meth:`Explorer.visible_traces` raises
+The explorer memoises three things, each stored only once complete so
+that an abort leaves them consistent: each configuration's τ-closure,
+each configuration's :meth:`~repro.operational.step.OperationalSemantics.steps`,
+and each set's successor map e ↦ τ(succ_e(S)).  Budget accounting is
+**per call**: each public entry point resets the touched-state counter,
+so one long-lived explorer serving many queries does not leak budget
+from one query into the next.  A configuration is *touched* each time
+a τ-closure computation visits it, and each configuration's closure is
+computed once per explorer.  Every closure a trace-keyed walk would
+compute at a level is computed here at that level too, so the count at
+the end of each level, and with it the level at which a ``max_states``
+budget trips, is the trace-keyed walk's.  On
+exhaustion :meth:`Explorer.visible_traces` raises
 :class:`~repro.errors.BudgetExceeded` whose checkpoint names the deepest
 completed BFS level; :meth:`Explorer.deadlock_report` instead returns
 the deadlocks found so far, with the trip attached to its report.
@@ -29,12 +50,19 @@ from typing import Deque, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tupl
 
 from repro.errors import BudgetExceeded
 from repro.operational.state import State
-from repro.operational.step import OperationalSemantics
+from repro.operational.step import OperationalSemantics, Step
 from repro.process.ast import Process
 from repro.runtime import faults as _faults
 from repro.runtime import governor as _governor
 from repro.traces.events import Event, Trace
 from repro.traces.prefix_closure import FiniteClosure
+from repro.traces.trie import ClosureNode, current_state
+
+#: A τ-closed set of configurations: one node of the subset construction.
+StateSet = FrozenSet[State]
+
+#: A set's successor map, e ↦ τ(succ_e(S)), in event sort-key order.
+Successors = Tuple[Tuple[Event, StateSet], ...]
 
 
 class DeadlockReport(NamedTuple):
@@ -68,7 +96,7 @@ class DeadlockReport(NamedTuple):
 
 
 class Explorer:
-    """Breadth-first enumerator of visible traces."""
+    """Breadth-first enumerator of visible traces over τ-closed state sets."""
 
     def __init__(
         self,
@@ -77,12 +105,14 @@ class Explorer:
     ) -> None:
         self.semantics = semantics
         self.max_states = max_states
-        self._closure_memo: Dict[State, FrozenSet[State]] = {}
+        self._closure_memo: Dict[State, StateSet] = {}
+        self._steps_memo: Dict[State, Tuple[Step, ...]] = {}
+        self._successor_memo: Dict[StateSet, Successors] = {}
         self._states_touched = 0
 
     def _begin(self) -> None:
-        """Reset per-call accounting (the τ-closure memo persists: it holds
-        only completed closures, so reuse across calls is sound)."""
+        """Reset per-call accounting (the memos persist: they hold only
+        completed results, so reuse across calls is sound)."""
         self._states_touched = 0
 
     @property
@@ -90,9 +120,15 @@ class Explorer:
         """Configurations visited by the most recent query."""
         return self._states_touched
 
+    def _steps(self, state: State) -> Tuple[Step, ...]:
+        steps = self._steps_memo.get(state)
+        if steps is None:
+            steps = self._steps_memo[state] = self.semantics.steps(state)
+        return steps
+
     # -- τ-closure ---------------------------------------------------------
 
-    def tau_closure(self, state: State) -> FrozenSet[State]:
+    def tau_closure(self, state: State) -> StateSet:
         """All configurations reachable from ``state`` by internal steps."""
         if state in self._closure_memo:
             return self._closure_memo[state]
@@ -101,7 +137,7 @@ class Explorer:
         while queue:
             current = queue.popleft()
             self._touch()
-            for step in self.semantics.steps(current):
+            for step in self._steps(current):
                 if step.is_internal and step.state not in seen:
                     seen.add(step.state)
                     queue.append(step.state)
@@ -118,6 +154,26 @@ class Explorer:
         if self._states_touched > self.max_states:
             raise BudgetExceeded("explorer-state", self.max_states)
 
+    def _successors(self, states: StateSet) -> Successors:
+        """e ↦ τ(succ_e(S)) for every visible event ``e`` some member of
+        ``states`` offers, sorted by event."""
+        known = self._successor_memo.get(states)
+        if known is not None:
+            return known
+        targets: Dict[Event, Set[State]] = {}
+        for state in states:
+            for step in self._steps(state):
+                if step.event is not None:
+                    targets.setdefault(step.event, set()).update(
+                        self.tau_closure(step.state)
+                    )
+        result = tuple(
+            (event, frozenset(targets[event]))
+            for event in sorted(targets, key=Event.sort_key)
+        )
+        self._successor_memo[states] = result
+        return result
+
     # -- trace enumeration -----------------------------------------------------
 
     def visible_traces(self, term: Process, depth: int) -> FiniteClosure:
@@ -128,12 +184,13 @@ class Explorer:
         before it — a sound under-approximation.
         """
         self._begin()
-        traces: Set[Trace] = set()
+        traces = 0  # of length ≤ level
         level = 0
         try:
-            initial = self.semantics.initial_state(term)
-            frontier = {(): self.tau_closure(initial)}
-            traces = {()}
+            initial = self.tau_closure(self.semantics.initial_state(term))
+            frontier: Dict[StateSet, int] = {initial: 1}  # set → traces reaching it
+            levels = [frontier]
+            traces = 1
             for level in range(depth):
                 governor = _governor.current()
                 if governor is not None:
@@ -141,35 +198,47 @@ class Explorer:
                     governor.record_progress(
                         phase="explore",
                         completed_depth=level,
-                        traces_verified=len(traces),
+                        traces_verified=traces,
                     )
-                next_frontier: Dict[Trace, Set[State]] = {}
-                for trace, states in frontier.items():
-                    for state in states:
-                        for event, successor in self._visible_steps(state):
-                            extended = trace + (event,)
-                            next_frontier.setdefault(extended, set()).update(
-                                self.tau_closure(successor)
-                            )
+                next_frontier: Dict[StateSet, int] = {}
+                for states, count in frontier.items():
+                    for _event, target in self._successors(states):
+                        next_frontier[target] = next_frontier.get(target, 0) + count
                 if not next_frontier:
                     break
-                frontier = {t: frozenset(s) for t, s in next_frontier.items()}
-                traces.update(frontier)
+                frontier = next_frontier
+                levels.append(frontier)
+                traces += sum(frontier.values())
         except BudgetExceeded as exc:
             raise exc.with_checkpoint(
                 _governor.trip_checkpoint(
-                    exc, "explore", level, len(traces), self._states_touched
+                    exc, "explore", level, traces, self._states_touched
                 )
             ) from None
-        return FiniteClosure(frozenset(traces), _trusted=True)
+        return FiniteClosure.from_node(self._intern(levels))
 
-    def _visible_steps(self, state: State) -> List[Tuple[Event, State]]:
-        result = []
-        for step in self.semantics.steps(state):
-            if not step.is_internal:
-                assert step.event is not None
-                result.append((step.event, step.state))
-        return result
+    def _intern(self, levels: List[Dict[StateSet, int]]) -> ClosureNode:
+        """The root node(S₀, depth), interned from the deepest level up.
+
+        The sets of the last level walked are leaves: either the depth
+        bound stops there, or none of them has a visible step."""
+        arena = current_state().arena
+        intern_event = arena.intern_event
+        below: Dict[StateSet, int] = dict.fromkeys(levels[-1], 0)
+        for frontier in reversed(levels[:-1]):
+            here: Dict[StateSet, int] = {}
+            for states in frontier:
+                pairs = sorted(
+                    (intern_event(event), below[target])
+                    for event, target in self._successor_memo[states]
+                )
+                flat: List[int] = []
+                for pair in pairs:
+                    flat.extend(pair)
+                here[states] = arena.intern(flat) if flat else 0
+            below = here
+        (root,) = below.values()  # level 0 holds the initial set alone
+        return arena.view(root)
 
     # -- deadlock search ---------------------------------------------------
 
@@ -182,7 +251,10 @@ class Explorer:
         found so far and the trip.  ``completed_depth`` is then the
         deepest level whose deadlock scan finished (``None`` when a trip
         in the initial τ-closure left no level scanned), so the report
-        lists every deadlock of length ≤ ``completed_depth``.
+        lists every deadlock of length ≤ ``completed_depth``.  The last
+        level is expanded like every other, so the states touched, and
+        the level a ``max_states`` budget trips at, are the trace-keyed
+        walk's.
         """
         self._begin()
         deadlocks: List[Trace] = []
@@ -190,8 +262,8 @@ class Explorer:
         scanned = 0  # the traces of level ``completed``
         trip: Optional[BudgetExceeded] = None
         try:
-            initial = self.semantics.initial_state(term)
-            frontier = {(): self.tau_closure(initial)}
+            initial = self.tau_closure(self.semantics.initial_state(term))
+            frontier: Dict[StateSet, List[Trace]] = {initial: [()]}
             for level in range(depth + 1):
                 governor = _governor.current()
                 if governor is not None:
@@ -199,20 +271,20 @@ class Explorer:
                     governor.record_progress(
                         phase="deadlock", completed_depth=completed
                     )
-                for trace, states in sorted(frontier.items()):
-                    for state in states:
-                        if not self.semantics.steps(state):
-                            deadlocks.append(trace)
-                            break
-                completed, scanned = level, len(frontier)
-                next_frontier: Dict[Trace, Set[State]] = {}
-                for trace, states in frontier.items():
-                    for state in states:
-                        for event, successor in self._visible_steps(state):
-                            next_frontier.setdefault(trace + (event,), set()).update(
-                                self.tau_closure(successor)
-                            )
-                frontier = {t: frozenset(s) for t, s in next_frontier.items()}
+                stuck: List[Trace] = []
+                for states, traces in frontier.items():
+                    if any(not self._steps(state) for state in states):
+                        stuck.extend(traces)
+                deadlocks.extend(sorted(stuck))
+                completed = level
+                scanned = sum(len(traces) for traces in frontier.values())
+                next_frontier: Dict[StateSet, List[Trace]] = {}
+                for states, traces in frontier.items():
+                    for event, target in self._successors(states):
+                        next_frontier.setdefault(target, []).extend(
+                            trace + (event,) for trace in traces
+                        )
+                frontier = next_frontier
                 if not frontier:
                     break
         except BudgetExceeded as exc:
@@ -222,7 +294,7 @@ class Explorer:
                 )
             )
         return DeadlockReport(
-            deadlocks=tuple(sorted(deadlocks, key=len)),
+            deadlocks=tuple(deadlocks),
             states_touched=self._states_touched,
             completed_depth=completed,
             trip=trip,

@@ -44,43 +44,6 @@ class DeterministicScheduler(Scheduler):
         return steps[0]
 
 
-class ReplayScheduler(Scheduler):
-    """Follow a recorded visible trace — e.g. one loaded from a persisted
-    explorer frontier or a counterexample — resolving τ-steps greedily.
-
-    At each choice point: if an available visible step carries the next
-    expected event, take it; otherwise take the first internal step (τ
-    never consumes the script).  A visible step that does *not* match the
-    script raises, which is how the differential harness detects an
-    execution diverging from a trace the explorer claims reachable.
-    """
-
-    def __init__(self, trace: Trace) -> None:
-        self._script: List[Event] = list(trace)
-        self._position = 0
-
-    @property
-    def exhausted(self) -> bool:
-        """True once every scripted event has been replayed."""
-        return self._position >= len(self._script)
-
-    def choose(self, steps: Sequence[Step]) -> Step:
-        expected = (
-            self._script[self._position] if not self.exhausted else None
-        )
-        for step in steps:
-            if expected is not None and step.event == expected:
-                self._position += 1
-                return step
-        for step in steps:
-            if step.is_internal:
-                return step
-        raise ValueError(
-            f"replay diverged: expected {expected!r}, available "
-            f"{[step.event for step in steps]!r}"
-        )
-
-
 class SimulationRun(NamedTuple):
     """The outcome of one simulated execution."""
 

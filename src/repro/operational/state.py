@@ -31,15 +31,26 @@ from repro.values.environment import Environment
 
 
 class State:
-    """Abstract immutable configuration."""
+    """Abstract immutable configuration.
 
-    __slots__ = ()
+    A configuration's hash is computed once, on first use, and kept in
+    a slot: the explorer hashes each configuration many times (τ-closure
+    visited sets, its memo tables, the state sets it keys levels by), and
+    a fresh hash would re-walk the whole configuration and its terms.
+    """
+
+    __slots__ = ("_hash",)
 
     def __eq__(self, other: object) -> bool:
         return type(self) is type(other) and self._key() == other._key()  # type: ignore[attr-defined]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))  # type: ignore[attr-defined]
+        try:
+            return self._hash
+        except AttributeError:
+            key = self._key()  # type: ignore[attr-defined]
+            value = self._hash = hash((type(self).__name__, key))
+            return value
 
     def _key(self) -> Tuple[object, ...]:
         raise NotImplementedError
