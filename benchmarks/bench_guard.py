@@ -125,16 +125,6 @@ EXPLORER_LAYER_CEILINGS = {
     "warm reload philosophers.table depth=5": 0.45,
 }
 
-#: Forked workers (``jobs=2``) must beat a sequential solve (``jobs=1``)
-#: by at least this factor on the largest recorded twin-machine case:
-#: two same-rank heavyweight SCCs, each solved in its own child and
-#: spliced back.  Only the largest case is enforced — the smaller one is
-#: too fast for the fork/splice overhead to amortise reliably on a loaded
-#: host — and only with two or more CPUs.  Idle 2-vCPU runs measure
-#: ×1.64–1.79; the floor leaves room for noise, but a guard run beside
-#: another CPU-bound job (measured ×1.01) will trip it.
-MIN_PROCESS_SPEEDUP = 1.2
-
 #: Absolute ceilings on single layers, in calibration loops (best-of-5
 #: wall clock of the layer over that of ``bench_kernel``'s fixed
 #: 200 000-iteration pure-Python loop, timed just before it).  Set at
@@ -291,39 +281,6 @@ def check_engine(report: dict) -> list:
         )
         if not ok:
             failures.append(case["case"])
-    failures += check_process_jobs(report)
-    return failures
-
-
-def check_process_jobs(report: dict) -> list:
-    """Re-measure the twin-machine fork-vs-sequential cases; the largest
-    (last) one must keep ``jobs=2`` ≥ ``MIN_PROCESS_SPEEDUP`` ahead of
-    ``jobs=1``."""
-    import os
-
-    from benchmarks.bench_kernel import PROCESS_JOBS_CASES, _process_jobs_case
-
-    failures = []
-    cases = report.get("process_jobs_cases", [])
-    if not hasattr(os, "fork"):
-        print("skip process-jobs cases (no os.fork)")
-        return failures
-    if (os.cpu_count() or 1) < 2:
-        print("skip process-jobs cases (fewer than 2 CPUs)")
-        return failures
-    for i, recorded in enumerate(cases):
-        p, depth, sample = PROCESS_JOBS_CASES[i]
-        measured = _process_jobs_case(p, depth, sample)
-        floor = MIN_PROCESS_SPEEDUP if i == len(cases) - 1 else 0.0
-        ok = measured["speedup"] >= floor
-        print(
-            f"{'ok' if ok else 'FAIL':<4} {recorded['case']:<42} "
-            f"recorded ×{recorded['speedup']:<6} "
-            f"measured ×{measured['speedup']}"
-            + (f" (floor ×{floor})" if floor else "")
-        )
-        if not ok:
-            failures.append(recorded["case"])
     return failures
 
 

@@ -657,75 +657,6 @@ def _engine_cache_case(depth: int) -> dict:
     return case
 
 
-def _process_jobs_case(p: int, depth: int, sample: int) -> dict:
-    """Sequential (``jobs=1``) vs forked (``jobs=2``) wall clock on twin
-    heavyweight state machines — two independent definitions over
-    disjoint channels, each one strongly connected array SCC of ``p``
-    entries (the successor set ``{i+1, i+98, i+195, i+292} mod p``
-    contains ``+1``, so every entry reaches every other).  Both SCCs
-    land at rank 0, one per forked worker.
-
-    The forked children solve into private arenas and ship flat segments
-    back, so the speedup measures what fork + splice buys over solving
-    the two SCCs one after the other.  Roots are asserted
-    pointer-identical to a sequential solve before any timing is
-    recorded.
-    """
-    from repro.process.parser import parse_definitions
-    from repro.semantics.engine import DenotationEngine
-    from repro.traces.trie import private_state
-
-    def machine(tag: str) -> str:
-        return (
-            f"m{tag}[i:{{0..{p - 1}}}] = a{tag}?x:{{0,1,2,3}} "
-            f"-> b{tag}!((i+x) mod 5) -> m{tag}[(i+x*97+1) mod {p}]"
-        )
-
-    defs = parse_definitions("; ".join(machine(t) for t in ("x", "y")))
-    cfg = SemanticsConfig(depth=depth, sample=sample)
-
-    with private_state():
-        parallel_engine = DenotationEngine(defs, None, cfg, jobs=2)
-        parallel_engine.run()
-        sequential = DenotationEngine(defs, None, cfg)
-        sequential.run()
-        for name in ("mx", "my"):
-            for i in range(p):
-                assert (
-                    parallel_engine.closure_for(name, i).root
-                    is sequential.closure_for(name, i).root
-                )
-
-    def timed(jobs: int) -> float:
-        best = None
-        for _ in range(3):
-            with private_state():
-                start = time.perf_counter()
-                DenotationEngine(defs, None, cfg, jobs=jobs).run()
-                elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return best
-
-    sequential_s = timed(1)
-    fork_s = timed(2)
-    case = {
-        "case": f"process-jobs twin-machines p={p} depth={depth}",
-        "sequential_s": round(sequential_s, 4),
-        "fork_s": round(fork_s, 4),
-        "speedup": round(sequential_s / fork_s, 2) if fork_s else float("inf"),
-    }
-    print(
-        f"{case['case']:<42} jobs=1 {sequential_s * 1000:8.1f} ms   "
-        f"jobs=2 {fork_s * 1000:8.1f} ms   ×{case['speedup']}"
-    )
-    return case
-
-
-#: (p, depth, sample) for the recorded process-jobs cases; the last
-#: (largest) one carries the bench_guard floor.
-PROCESS_JOBS_CASES = ((211, 16, 256), (317, 20, 320))
-
-
 def generate_engine(depths=(4, 5, 6)) -> dict:
     # philosophers was ineligible for the engine before sub-level deltas
     # (its table references out-of-sample subscripts at sample 2; at
@@ -739,24 +670,16 @@ def generate_engine(depths=(4, 5, 6)) -> dict:
         for system in (multiplier, protocol, philosophers)
     ]
     cache_cases = [_engine_cache_case(depth) for depth in (6, 7)]
-    process_cases = [
-        _process_jobs_case(p, depth, sample)
-        for p, depth, sample in PROCESS_JOBS_CASES
-    ]
     return {
         "description": (
             "Dependency-graph denotation engine vs. monolithic "
             "approximation chain: (entry, level) denotations performed "
-            "(deterministic), cold-vs-warm snapshot-cache wall clock, "
-            "and sequential (jobs=1) vs forked (jobs=2) wall clock on "
-            "twin heavyweight same-rank SCCs, best of 3"
+            "(deterministic) and cold-vs-warm snapshot-cache wall clock"
         ),
         "definition_level_cases": level_cases,
         "cache_cases": cache_cases,
-        "process_jobs_cases": process_cases,
         "max_level_reduction": max(c["reduction"] for c in level_cases),
         "max_cache_speedup": max(c["speedup"] for c in cache_cases),
-        "max_process_speedup": max(c["speedup"] for c in process_cases),
     }
 
 

@@ -21,13 +21,10 @@ Named message sets are declared with ``--set M=0,1``; the protocol's
 cancellation function is available as ``--with-cancel f``.
 
 ``traces``/``check``/``stats`` run on the dependency-graph denotation
-engine: ``--jobs N`` forks independent fixpoint components to worker
-processes, each solving into a private arena whose results are spliced
-back into the canonical store (sequential on hosts without ``fork``;
-verdicts are byte-identical either way), and solved closures are
-snapshotted under ``~/.cache/repro`` (override with ``--cache-dir``,
-disable with ``--no-cache``) so repeated invocations on the same system
-warm-start.
+engine, which solves the fixpoint one strongly connected component at
+a time, dependencies first.  Solved closures are snapshotted under
+``~/.cache/repro`` (override with ``--cache-dir``, disable with
+``--no-cache``) so repeated invocations on the same system warm-start.
 ``--engine operational`` caches its explored closures in the same
 snapshot slots, so a repeated operational query skips the explorer too.
 ``check`` accepts ``--spec`` repeatedly: all assertions are checked
@@ -100,7 +97,6 @@ def _options(args: argparse.Namespace) -> dict:
         sets=args.set or [],
         with_cancel=args.with_cancel,
         engine=args.engine,
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
     )
@@ -177,9 +173,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if args.explain_plan:
             from repro.semantics.engine import DenotationEngine
 
-            engine = DenotationEngine(
-                defs, checker.env, checker.config, jobs=args.jobs, cache=cache
-            )
+            engine = DenotationEngine(defs, checker.env, checker.config, cache=cache)
             print(engine.explain())
         elif args.spec:
             result = checker.check(target, args.spec)
@@ -429,14 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default="denotational",
             )
             p.add_argument(
-                "--jobs",
-                type=_at_least(1),
-                default=1,
-                metavar="N",
-                help="forked worker processes for independent fixpoint "
-                "components (sequential where fork is unavailable)",
-            )
-            p.add_argument(
                 "--cache-dir",
                 metavar="DIR",
                 help="snapshot cache directory (default: ~/.cache/repro)",
@@ -492,8 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--explain-plan",
         action="store_true",
-        help="print the engine's SCC condensation, topological ranks, and "
-        "per-level delta-skip / cache-hit account instead of denoting",
+        help="print the engine's SCC condensation, the topological ranks "
+        "it solves them in, and the per-level delta-skip / cache-hit "
+        "account instead of denoting",
     )
     p.set_defaults(func=cmd_stats)
 

@@ -50,7 +50,8 @@ class KernelStateError(ReproError):
     names a row of *that* state's arena and nothing else.  Feeding it to an
     operator running against a different state would silently alias an
     unrelated node, so the kernel raises instead; carry nodes across states
-    with :func:`~repro.traces.trie.reintern`.
+    as segment payloads (:func:`~repro.traces.snapshot.export_segments`,
+    then :func:`~repro.traces.snapshot.splice_segments`).
     """
 
 

@@ -156,10 +156,6 @@ class TokenStream:
     def current(self) -> Token:
         return self.tokens[self.index]
 
-    def peek(self, offset: int = 0) -> Token:
-        j = min(self.index + offset, len(self.tokens) - 1)
-        return self.tokens[j]
-
     def advance(self) -> Token:
         token = self.current
         if token.kind != "eof":

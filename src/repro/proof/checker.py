@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.errors import ProofError, RuleApplicationError, SideConditionError
+from repro.errors import RuleApplicationError, SideConditionError
 from repro.process.definitions import DefinitionList, NO_DEFINITIONS
 from repro.proof.judgments import Judgment, Pure
 from repro.proof.oracle import Oracle, Verdict
@@ -138,16 +138,6 @@ class ProofChecker:
             rules_used=dict(proof.rules_used()),
             discharges=tuple(self._discharges),
         )
-
-    def is_valid(
-        self, proof: ProofNode, assumptions: Tuple[Judgment, ...] = ()
-    ) -> bool:
-        """Non-raising variant of :meth:`check`."""
-        try:
-            self.check(proof, assumptions)
-        except ProofError:
-            return False
-        return True
 
     # -- internals ------------------------------------------------------------
 

@@ -8,9 +8,8 @@ so a served verdict is byte-identical to a local one.
 
 *Options* are a mapping over the keyword fields of
 :func:`repro.server.protocol.query` (``process``, ``depth``, ``sample``,
-``sets``, ``with_cancel``, ``engine``, ``jobs``, ``cache_dir``,
-``no_cache``): the CLI builds one from its flags, and a serve request
-already is one.
+``sets``, ``with_cancel``, ``engine``, ``cache_dir``, ``no_cache``):
+the CLI builds one from its flags, and a serve request already is one.
 """
 
 from __future__ import annotations
@@ -115,7 +114,6 @@ def open_checker(defs, options: Mapping[str, Any], governed: bool):
         env,
         config,
         engine=options.get("engine", "denotational"),
-        jobs=int(options.get("jobs") or 1),
         cache=open_cache(defs, config, options, governed),
     )
 

@@ -224,18 +224,6 @@ class Governor:
             self.trip("interned-node", limit)
         self._stride_deadline()
 
-    def note_nodes(self, n: int) -> None:
-        """``n`` trie nodes interned elsewhere at once (a forked engine
-        child's reported node delta).  Trips exactly when ``n``
-        individual :meth:`note_node` calls would — but *before* the
-        caller splices the child's roots, so a trip admits none of
-        them."""
-        self.nodes_interned += n
-        limit = self.budget.max_nodes
-        if limit is not None and self.nodes_interned > limit:
-            self.trip("interned-node", limit)
-        self._stride_deadline()
-
     def note_state(self) -> None:
         """One configuration touched by the operational explorer."""
         self.states_touched += 1
@@ -364,10 +352,7 @@ def trip_checkpoint(
 # ambient governor
 # ---------------------------------------------------------------------------
 
-# A plain module global: forked denotation-engine children
-# (``DenotationEngine(jobs=N)``) inherit it by copy, so they trip at the
-# same global thresholds as the parent and report their node deltas
-# back for the parent to charge.
+# A plain module global, read by the hot-path hooks below.
 _ACTIVE: Optional[Governor] = None
 
 
@@ -382,11 +367,8 @@ def activate(governor: Optional[Governor]) -> Iterator[Optional[Governor]]:
 
     ``activate(None)`` is a no-op, so call sites can thread an optional
     governor without branching.  Nesting replaces the outer governor for
-    the inner region and restores it afterwards.
-
-    The installed governor is process-global: forked engine children
-    inherit it (counters and clock) by copy, which is what makes budget
-    trips sound under ``--jobs > 1``.
+    the inner region and restores it afterwards.  The installed
+    governor is process-global: every thread sees it.
     """
     global _ACTIVE
     if governor is None:
@@ -408,8 +390,7 @@ def suspended() -> Iterator[None]:
     it is saving: a governed run that already tripped still writes its
     checkpoint slots, and merging another process's slots into the file
     re-interns nodes that must not trip the (already spent) budget.
-    Like :func:`activate`, the change is process-global — only suspend
-    around regions that fork no governed workers.
+    Like :func:`activate`, the change is process-global.
     """
     global _ACTIVE
     previous = _ACTIVE

@@ -95,7 +95,7 @@ class SatChecker:
     ``"operational"`` (the state-space explorer — preferable for networks
     whose synchronised values are computed, like the multiplier).
 
-    ``jobs``/``cache`` feed the dependency-graph
+    ``cache`` feeds the dependency-graph
     :class:`~repro.semantics.engine.DenotationEngine` behind the
     denotational supply: named targets reachable only through chan-free,
     array-free definitions are denoted against the engine's solved
@@ -112,7 +112,6 @@ class SatChecker:
         eval_config: EvalConfig = DEFAULT_EVAL_CONFIG,
         engine: str = "denotational",
         trie_walk: bool = True,
-        jobs: int = 1,
         cache: Optional[SnapshotCache] = None,
     ) -> None:
         if engine not in ("denotational", "operational"):
@@ -123,7 +122,6 @@ class SatChecker:
         self.eval_config = eval_config
         self.engine = engine
         self.trie_walk = trie_walk
-        self.jobs = jobs
         self.cache = cache
         #: solve_depth → engine bindings (or _INELIGIBLE when solving the
         #: system failed and the checker fell back to pure unfolding).
@@ -253,7 +251,7 @@ class SatChecker:
                 # hide-depth roots.
                 cache = None
             engine = DenotationEngine(
-                self.definitions, self.env, solve_config, jobs=self.jobs, cache=cache
+                self.definitions, self.env, solve_config, cache=cache
             )
             try:
                 self._engine_supply[solve_depth] = engine.bindings(fallback=True)

@@ -11,31 +11,15 @@ fixpoint.  :class:`DenotationEngine` exploits that:
    definition, one per sampled array subscript;
    :func:`~repro.process.analysis.entry_dependencies`), condense it into
    SCCs, and order the SCCs topologically.
-2. **Solve** — walk SCCs dependencies-first.  A non-recursive SCC is a
+2. **Solve** — walk SCCs dependencies-first, rank by rank, one after
+   another in the calling process.  A non-recursive SCC is a
    single definition with no self-reference: denote it *once* against
    its already-solved dependencies — no chain at all.  A recursive SCC
    runs a local chain from ⟦STOP⟧, but **delta-based**: level *i+1*
    re-denotes only members whose intra-SCC dependencies changed root at
    level *i* (an entry whose inputs are unchanged is already at its
    level-(i+1) value — denotation is a function of the bindings).
-3. **Parallelise** — SCCs of equal topological rank share no dependency
-   path, so with ``jobs > 1`` they are forked to worker *processes*
-   that escape the GIL: each child solves into a private arena
-   (:func:`~repro.traces.trie.private_state`), ships its roots back
-   over a pipe as flat format-2 segments
-   (:func:`~repro.traces.snapshot.export_segments`), and the parent
-   splices them into the canonical arena in plan order
-   (:func:`~repro.traces.snapshot.splice_segments`), charging each unit's
-   reported node delta to the ambient governor *before* the splice so
-   budget trips stay sound.  Interning is idempotent on structural
-   keys, so the final roots are pointer-identical to a sequential run.
-   Forked children inherit the environment (host functions included)
-   and the governor's clock by copy, so deadlines and limits trip at
-   the same global thresholds; a child's :class:`~repro.errors.ReproError`
-   is rebuilt in the parent as the same class, and a child that dies
-   without a payload degrades to solving its units in-process.  Hosts
-   without ``os.fork`` solve sequentially.
-4. **Cache** — with a :class:`~repro.traces.snapshot.SnapshotCache`
+3. **Cache** — with a :class:`~repro.traces.snapshot.SnapshotCache`
    attached, solved roots are recorded per entry and whole SCCs whose
    members are all cached are skipped entirely on the next run.
 
@@ -46,12 +30,9 @@ refuses to pay for levels that cannot change anything.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from repro import errors as _errors
-from repro.errors import BudgetExceeded, ReproError, SemanticsError
+from repro.errors import BudgetExceeded, SemanticsError
 from repro.process.analysis import (
     EntryKey,
     Scc,
@@ -64,21 +45,12 @@ from repro.process.analysis import (
 )
 from repro.process.definitions import ArrayDef, DefinitionList
 from repro.runtime import governor as _governor
-from repro.runtime.governor import Checkpoint
 from repro.semantics.config import DEFAULT_CONFIG, SemanticsConfig
 from repro.semantics.denotation import Denoter
 from repro.traces import stats as _stats
 from repro.traces import trie as _trie
-from repro.runtime.faults import FaultInjected
 from repro.traces.prefix_closure import STOP_CLOSURE, FiniteClosure
-from repro.traces.snapshot import (
-    SnapshotCache,
-    SnapshotError,
-    export_segments,
-    fix_slot,
-    splice_segments,
-)
-from repro.traces.trie import private_state, reintern
+from repro.traces.snapshot import SnapshotCache, fix_slot
 from repro.values.environment import Environment
 
 #: Bound on per-SCC chain length — unreachable for guarded definitions at
@@ -145,8 +117,7 @@ class DenotationEngine:
     :class:`~repro.semantics.fixpoint.ApproximationChain` —
     :meth:`fixpoint` / :meth:`closure_for` return closures whose roots
     are pointer-identical to the chain's — with SCC scheduling, delta
-    iteration, optional forked worker processes (``jobs``), and an
-    optional persisted snapshot cache (``cache``).
+    iteration, and an optional persisted snapshot cache (``cache``).
     """
 
     def __init__(
@@ -154,13 +125,11 @@ class DenotationEngine:
         definitions: DefinitionList,
         env: Optional[Environment] = None,
         config: SemanticsConfig = DEFAULT_CONFIG,
-        jobs: int = 1,
         cache: Optional[SnapshotCache] = None,
     ) -> None:
         self.definitions = definitions
         self.env = env if env is not None else Environment()
         self.config = config
-        self.jobs = max(1, int(jobs))
         self.cache = cache
         #: Internal solve depth — mirrors
         #: :class:`~repro.semantics.fixpoint.ApproximationChain`: ``chan``
@@ -251,16 +220,9 @@ class DenotationEngine:
         governor = _governor.current()
         if governor is not None:
             governor.check_deadline()
-        pending: List[int] = []
-        for i in indices:
-            cached = self._from_cache(self._sccs[i], rank)
-            if not cached:
-                pending.append(i)
-        if self.jobs > 1 and len(pending) > 1 and hasattr(os, "fork"):
-            self._solve_processes(rank, pending)
-        else:
-            for i in pending:
-                self._merge(*self._solve_scc(self._sccs[i], rank))
+        pending = [i for i in indices if not self._from_cache(self._sccs[i], rank)]
+        for i in pending:
+            self._merge(*self._solve_scc(self._sccs[i], rank))
         if governor is not None:
             governor.record_progress("engine", *self._progress())
 
@@ -288,189 +250,6 @@ class DenotationEngine:
         )
         return True
 
-    def _solve_processes(self, rank: int, indices: List[int]) -> None:
-        """Solve independent same-rank SCCs in forked worker processes.
-
-        Each child solves a stride of the rank's pending SCCs into a
-        private kernel state and writes one JSON payload — per-unit flat
-        segment roots (:func:`~repro.traces.snapshot.export_segments`),
-        a report, governor deltas, and kernel work counters — to its
-        pipe, then exits.  The parent closes each write end immediately
-        after forking (so no later child holds an earlier pipe open past
-        its writer's death), reads every payload to EOF, and splices
-        units back **in plan order**: each unit's node delta is charged
-        to the ambient governor *before* its segments are decoded, so a
-        budget trip admits none of that unit, and the canonical interner
-        sees the same insertion sequence regardless of child timing —
-        final roots are pointer-identical to a sequential run.
-
-        A child that reports an error stops the merge: the parent
-        re-raises the plan-order-first failure rebuilt as the child's
-        class (budget trips arrive with their checkpoint and mark the
-        parent governor exhausted).  A child that dies without a parseable payload —
-        crash, ``os._exit`` mid-write, injected fault in the write path
-        — is not fatal: its units are re-solved in-process at their
-        plan-order slots, sound because nothing from the torn payload
-        was admitted (PR 2 abort safety).
-        """
-        jobs = min(self.jobs, len(indices))
-        parts = [indices[k::jobs] for k in range(jobs)]
-        children: List[Tuple[int, int, List[int]]] = []
-        read_fds: List[int] = []
-        for part in parts:
-            r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(r)
-                    for fd in read_fds:
-                        os.close(fd)
-                    self._child_run(part, rank, w)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(w)
-            read_fds.append(r)
-            children.append((pid, r, part))
-        payloads: List[Tuple[List[int], Optional[dict]]] = []
-        for pid, r, part in children:
-            chunks: List[bytes] = []
-            try:
-                while True:
-                    chunk = os.read(r, 1 << 16)
-                    if not chunk:
-                        break
-                    chunks.append(chunk)
-            finally:
-                os.close(r)
-            os.waitpid(pid, 0)
-            payload: Optional[dict] = None
-            if chunks:
-                try:
-                    decoded = json.loads(b"".join(chunks))
-                    if isinstance(decoded, dict) and "units" in decoded:
-                        payload = decoded
-                except ValueError:
-                    payload = None
-            payloads.append((part, payload))
-
-        units: Dict[int, dict] = {}
-        errors: List[dict] = []
-        for part, payload in payloads:
-            if payload is None:
-                continue  # dead child: its indices re-solve in-process
-            for unit in payload["units"]:
-                units[int(unit["index"])] = unit
-            error = payload.get("error")
-            if error is not None:
-                errors.append(error)
-        if errors:
-            first = min(errors, key=lambda e: int(e.get("index", 0)))
-            exc = _error_from_wire(first)
-            if isinstance(exc, BudgetExceeded):
-                governor = _governor.current()
-                if governor is not None:
-                    governor.exhausted = True
-            raise exc
-
-        governor = _governor.current()
-        for index in indices:
-            unit = units.get(index)
-            if unit is not None:
-                if governor is not None:
-                    nodes = int(unit.get("nodes", 0))
-                    if nodes:
-                        governor.note_nodes(nodes)
-                    states = int(unit.get("states", 0))
-                    if states:
-                        governor.states_touched += states - 1
-                        governor.note_state()
-                try:
-                    decoded = splice_segments(unit["roots"])
-                except SnapshotError:
-                    unit = None  # torn segments: re-solve in-process
-            if unit is None:
-                self._merge(*self._solve_scc(self._sccs[index], rank))
-                continue
-            _stats.KERNEL_STATS.add_work(unit.get("work", {}))
-            by_pretty = {e.pretty(): e for e in self._sccs[index].entries}
-            solution = {
-                by_pretty[slot]: FiniteClosure.from_node(node)
-                for slot, node in decoded.items()
-            }
-            self._merge(solution, _report_from_wire(unit["report"]))
-
-    def _child_run(self, indices: List[int], rank: int, fd: int) -> None:
-        """Worker-process body: solve ``indices`` in order, write one
-        JSON payload to ``fd``, close it.  Runs in the forked child only
-        (a method so tests can monkeypatch it to simulate crashes).
-
-        The dependency carry-in (re-interning ``self._resolved`` into
-        the child's private arena) runs with the governor suspended —
-        that work was already charged when the parent solved it; only
-        each unit's own solve delta is reported, which is what keeps
-        parent-side accounting exact with respect to a sequential run.
-        The same goes for the unit's ``KERNEL_STATS`` work (delta walks,
-        memo traffic; :meth:`~repro.traces.stats.KernelStats.work`),
-        which the parent adds to its own counters at splice.
-        The inherited governor still trips at the correct *global*
-        thresholds: fork copies its accumulated counters and its clock.
-        """
-        governor = _governor.current()
-        units: List[dict] = []
-        error: Optional[dict] = None
-        for index in indices:
-            try:
-                with private_state():
-                    with _governor.suspended():
-                        resolved = {
-                            entry: FiniteClosure.from_node(reintern(closure.root))
-                            for entry, closure in self._resolved.items()
-                        }
-                    nodes0 = governor.nodes_interned if governor is not None else 0
-                    states0 = governor.states_touched if governor is not None else 0
-                    work0 = _stats.KERNEL_STATS.work()
-                    solution, report = self._solve_scc(
-                        self._sccs[index], rank, resolved
-                    )
-                    work = _stats.KERNEL_STATS.work_since(work0)
-                    units.append(
-                        {
-                            "index": index,
-                            "roots": export_segments(
-                                {
-                                    entry.pretty(): closure.root
-                                    for entry, closure in solution.items()
-                                }
-                            ),
-                            "report": _report_wire(report),
-                            "work": work,
-                            "nodes": (
-                                governor.nodes_interned - nodes0
-                                if governor is not None
-                                else 0
-                            ),
-                            "states": (
-                                governor.states_touched - states0
-                                if governor is not None
-                                else 0
-                            ),
-                        }
-                    )
-            except Exception as exc:
-                error = _error_wire(exc, index)
-                break
-        payload: Dict[str, object] = {"ok": error is None, "units": units}
-        if error is not None:
-            payload["error"] = error
-        blob = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        view = memoryview(blob)
-        while view:
-            written = os.write(fd, view)
-            view = view[written:]
-        os.close(fd)
-
     def _merge(
         self, solution: Dict[EntryKey, FiniteClosure], report: SccReport
     ) -> None:
@@ -481,14 +260,11 @@ class DenotationEngine:
         self.frontier_skipped += report.horizon_skipped
 
     def _solve_scc(
-        self,
-        scc: Scc,
-        rank: int,
-        resolved: Optional[Dict[EntryKey, FiniteClosure]] = None,
+        self, scc: Scc, rank: int
     ) -> Tuple[Dict[EntryKey, FiniteClosure], SccReport]:
         if not scc.recursive:
             entry = scc.entries[0]
-            denoter = self._denoter({}, resolved)
+            denoter = self._denoter({})
             closure = self._denote_entry(denoter, entry)
             report = SccReport(
                 entries=(entry.pretty(),),
@@ -498,13 +274,10 @@ class DenotationEngine:
                 levels=(LevelReport(1, (entry.pretty(),), ()),),
             )
             return {entry: closure}, report
-        return self._solve_recursive(scc, rank, resolved)
+        return self._solve_recursive(scc, rank)
 
     def _solve_recursive(
-        self,
-        scc: Scc,
-        rank: int,
-        resolved: Optional[Dict[EntryKey, FiniteClosure]] = None,
+        self, scc: Scc, rank: int
     ) -> Tuple[Dict[EntryKey, FiniteClosure], SccReport]:
         """Delta-based local chain: start every member at ⟦STOP⟧, then
         re-denote per level only members with a changed intra-SCC input.
@@ -546,7 +319,7 @@ class DenotationEngine:
             for level in range(1, MAX_LEVELS + 1):
                 if governor is not None:
                     governor.check_deadline()
-                denoter = self._denoter(local, resolved)
+                denoter = self._denoter(local)
                 nxt: Dict[EntryKey, FiniteClosure] = {}
                 now_changed: Set[EntryKey] = set()
                 redenoted: List[str] = []
@@ -619,16 +392,12 @@ class DenotationEngine:
 
     # -- denotation helpers ------------------------------------------------
 
-    def _denoter(
-        self,
-        local: Dict[EntryKey, FiniteClosure],
-        resolved: Optional[Dict[EntryKey, FiniteClosure]] = None,
-    ) -> Denoter:
+    def _denoter(self, local: Dict[EntryKey, FiniteClosure]) -> Denoter:
         return Denoter(
             self.definitions,
             self.env,
             self.config,
-            process_bindings=self._bindings(local, resolved=resolved),
+            process_bindings=self._bindings(local),
         )
 
     def _denote_entry(self, denoter: Denoter, entry: EntryKey) -> FiniteClosure:
@@ -649,9 +418,8 @@ class DenotationEngine:
         plan says is unreachable from here.
 
         ``resolved`` overrides ``self._resolved`` as the solved-entry
-        source — forked children pass their privately re-interned
-        copies, since ambient arena node ids must not cross into a
-        child's private kernel state.
+        source — :meth:`bindings` passes the solved closures truncated
+        to ``config.depth`` when ``chan`` forced a deeper solve.
 
         With ``fallback=True`` (served bindings for a
         :class:`~repro.sat.checker.SatChecker`, never during solving) an
@@ -797,8 +565,7 @@ class DenotationEngine:
         lines = [
             f"engine plan: {len(self._entries)} entries, "
             f"{len(self._sccs)} SCCs, "
-            f"{(max(self._ranks) + 1) if self._ranks else 0} ranks, "
-            f"jobs={self.jobs}",
+            f"{(max(self._ranks) + 1) if self._ranks else 0} ranks",
         ]
         for report in sorted(self.reports, key=lambda r: r.rank):
             label = " ".join(report.entries)
@@ -839,7 +606,7 @@ class DenotationEngine:
         delta = _stats.KERNEL_STATS
         lines.append(
             f"  delta frontiers: {delta.delta_queries} walks, "
-            f"{delta.frontier_nodes} fresh nodes, {delta.delta_capped} capped"
+            f"{delta.delta_capped} capped"
         )
         arena = _trie.arena_info()
         lines.append(
@@ -854,112 +621,3 @@ class DenotationEngine:
 def _slot(entry: EntryKey) -> str:
     # Slot vocabulary lives with the cache (`traces/snapshot.py`).
     return fix_slot(entry.pretty())
-
-
-# -- process-dispatch wire helpers ------------------------------------------
-#
-# The child payload is JSON: segment roots travel as format-2 base64
-# fields (already JSON-shaped), reports and errors as small structured
-# dicts.  Errors are rebuilt *by class name* so the parent raises the
-# same exception class the child did — a budget trip arrives with its
-# checkpoint, an injected fault stays a FaultInjected (never swallowed
-# into the ReproError hierarchy), any other :mod:`repro.errors` class
-# comes back with its message and scalar attributes, and anything else
-# degrades to a ReproError carrying the child's message.
-
-
-def _report_wire(report: SccReport) -> dict:
-    return {
-        "entries": list(report.entries),
-        "rank": report.rank,
-        "recursive": report.recursive,
-        "levels": [
-            [lv.level, list(lv.redenoted), list(lv.skipped), list(lv.horizon)]
-            for lv in report.levels
-        ],
-    }
-
-
-def _report_from_wire(wire: dict) -> SccReport:
-    return SccReport(
-        entries=tuple(wire["entries"]),
-        rank=int(wire["rank"]),
-        recursive=bool(wire["recursive"]),
-        cache_hit=False,
-        levels=tuple(
-            LevelReport(int(level), tuple(redo), tuple(skip), tuple(horizon))
-            for level, redo, skip, horizon in wire["levels"]
-        ),
-    )
-
-
-def _checkpoint_wire(checkpoint: Optional[Checkpoint]) -> Optional[dict]:
-    if checkpoint is None:
-        return None
-    return {
-        "phase": checkpoint.phase,
-        "completed_depth": checkpoint.completed_depth,
-        "traces_verified": checkpoint.traces_verified,
-        "states_explored": checkpoint.states_explored,
-        "nodes_interned": checkpoint.nodes_interned,
-        "elapsed": checkpoint.elapsed,
-    }
-
-
-def _checkpoint_from_wire(wire: Optional[dict]) -> Optional[Checkpoint]:
-    if not isinstance(wire, dict):
-        return None
-    return Checkpoint(
-        phase=str(wire.get("phase", "")),
-        completed_depth=wire.get("completed_depth"),
-        traces_verified=int(wire.get("traces_verified", 0)),
-        states_explored=int(wire.get("states_explored", 0)),
-        nodes_interned=int(wire.get("nodes_interned", 0)),
-        elapsed=float(wire.get("elapsed", 0.0)),
-    )
-
-
-def _error_wire(exc: BaseException, index: int) -> dict:
-    wire: Dict[str, object] = {
-        "kind": type(exc).__name__,
-        "message": str(exc),
-        "index": index,
-    }
-    if isinstance(exc, BudgetExceeded):
-        wire["resource"] = exc.resource
-        wire["limit"] = exc.limit if isinstance(exc.limit, (int, str)) else str(exc.limit)
-        wire["checkpoint"] = _checkpoint_wire(exc.checkpoint)
-    elif isinstance(exc, FaultInjected):
-        wire["site"] = exc.site
-        wire["visit"] = exc.visit
-    else:
-        wire["attrs"] = {
-            key: value
-            for key, value in vars(exc).items()
-            if isinstance(value, (str, int, float, bool, type(None)))
-        }
-    return wire
-
-
-def _error_from_wire(wire: dict) -> BaseException:
-    kind = str(wire.get("kind"))
-    message = str(wire.get("message", "worker process failed"))
-    if kind == "BudgetExceeded":
-        return BudgetExceeded(
-            str(wire.get("resource", "budget")),
-            wire.get("limit"),
-            _checkpoint_from_wire(wire.get("checkpoint")),
-        )
-    if kind == "FaultInjected":
-        return FaultInjected(str(wire.get("site", "?")), int(wire.get("visit", 0)))
-    cls = getattr(_errors, kind, None)
-    if not (isinstance(cls, type) and issubclass(cls, ReproError)):
-        return ReproError(message)
-    # Constructors differ per class (UnboundVariableError formats its
-    # own message, ParseError wants a position), so rebuild without
-    # calling __init__: same class, same message, same scalar fields.
-    exc = cls.__new__(cls)
-    exc.args = (message,)
-    exc.__dict__.update(wire.get("attrs") or {})
-    return exc
-

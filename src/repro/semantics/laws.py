@@ -117,11 +117,6 @@ def hide_hide_composition(
     return Chan(channels, Chan(channels2, p)), Chan(channels2, Chan(channels, p))
 
 
-def hide_stop(channels: ChannelList) -> Tuple[Process, Process]:
-    """chan L; STOP = STOP."""
-    return Chan(channels, STOP), STOP
-
-
 #: The registry the property tests and benches sweep over.
 ALL_LAWS: List[Law] = [
     Law("choice-commutative", 2, choice_commutative),

@@ -16,7 +16,6 @@ A *request* carries::
      "spec": <assertion, list of assertions, or null>,
      "depth": N, "sample": N, "sets": [...], "with_cancel": <name|null>,
      "engine": "denotational"|"operational",
-     "jobs": N,
      "budget": {"deadline": s, "max_nodes": n, "max_states": n} | null,
      "cache_dir": <path|null>, "no_cache": bool}
 
@@ -25,6 +24,10 @@ assertion is checked against the same warm solved system inside one
 worker dispatch, and the response carries a ``verdicts`` array (one
 ``{"spec", "exit_code", "stdout", "stderr"}`` entry per assertion, in
 request order) beside the concatenated top-level rendering.
+
+An older client may still send a ``"jobs": N`` field.  Workers ignore
+it, answering as if it were absent, so ``PROTOCOL_VERSION`` is
+unchanged.
 
 A *response* carries ``id``, a coarse ``status`` (``OK`` — the query
 ran, see ``exit_code`` for the verdict; ``OVERLOADED`` — shed by the
@@ -95,7 +98,6 @@ def query(
     sets: Sequence[str] = (),
     with_cancel: Optional[str] = None,
     engine: str = "denotational",
-    jobs: int = 1,
     budget: Optional[Budget] = None,
     cache_dir: Optional[str] = None,
     no_cache: bool = False,
@@ -118,7 +120,6 @@ def query(
         "sets": sorted(sets),
         "with_cancel": with_cancel,
         "engine": engine,
-        "jobs": int(jobs),
         "no_cache": bool(no_cache),
     }
     if budget is not None:
@@ -143,7 +144,6 @@ def situation(request: Dict[str, Any]) -> str:
             sorted(request.get("sets") or []),
             request.get("with_cancel"),
             request.get("engine", "denotational"),
-            request.get("jobs", 1),
             request.get("cache_dir"),
             bool(request.get("no_cache")),
         ],

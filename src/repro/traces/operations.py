@@ -40,10 +40,8 @@ from repro.traces.trie import (
     DELTA_WALK_CAP,
     EMPTY_NODE,
     Arena,
-    ClosureNode,
     current_state,
     delta_depth as _delta_depth_nodes,
-    delta_nodes,
     make_node,
     node_id,
     truncate_ids,
@@ -57,9 +55,10 @@ from repro.traces.trie import (
 #: components or pass an explicit small ``depth``.
 MAX_DISJOINT_PRODUCT = 250_000
 
-# Memo tables live in the kernel state (per-thread during engine worker
-# runs); each public operator resolves its tables once — its own and the
-# union table its recursion leans on — and threads them through.
+# Memo tables live in the kernel state (per-thread under
+# ``private_state()``); each public operator resolves its tables once —
+# its own and the union table its recursion leans on — and threads them
+# through.
 
 
 def prefix(a: Event, p: FiniteClosure) -> FiniteClosure:
@@ -473,15 +472,6 @@ def union_all(closures: Iterable[FiniteClosure]) -> FiniteClosure:
 # they are keyed on interned node ids, so re-applying an operator to a
 # grown closure pays only along its fresh frontier — every untouched
 # subtree is a memo hit.
-
-def delta_frontier(
-    old: FiniteClosure, new: FiniteClosure, cap: int = DELTA_WALK_CAP
-) -> Optional[Tuple[ClosureNode, ...]]:
-    """The subtrees of ``new`` that are fresh relative to ``old`` — the
-    level-to-level change region.  ``None`` when the frontier exceeds
-    ``cap`` (treat everything as changed)."""
-    return delta_nodes(old.root, new.root, cap)
-
 
 def delta_depth(
     old: FiniteClosure, new: FiniteClosure, cap: int = DELTA_WALK_CAP

@@ -286,13 +286,12 @@ def _decode_sequential(
 
 def export_segments(roots: Dict[str, ClosureNode]) -> dict:
     """Encode ``roots`` as a flat segment payload for *in-memory*
-    shipping — over a worker-process pipe or a serve-pool socket —
-    rather than a snapshot file.
+    shipping over a serve-pool socket rather than a snapshot file.
 
     This is :func:`encode_roots` by another name: the wire layout and
     the file layout are deliberately the same format-2 segments, so the
-    process dispatcher and the solved-system share path reuse the codec
-    (and its validation on the receiving side) without a second format.
+    solved-system share path reuses the codec (and its validation on the
+    receiving side) without a second format.
     """
     return encode_roots(roots)
 
@@ -305,12 +304,9 @@ def splice_segments(payload: dict) -> Dict[str, ClosureNode]:
     """Splice a shipped segment payload into the current kernel state.
 
     Decodes with full validation (:func:`decode_roots`) under a
-    suspended governor: callers on the splice path — the engine's
-    process dispatcher, the serve warm-roots adopter — account for the
-    shipped work explicitly (per-unit node deltas reported by the child,
-    or not at all for cache warming), so the splice itself must not
-    double-charge the ambient budget.  A payload that decodes counts
-    its nodes and packed segment bytes as spliced traffic.
+    suspended governor: the caller, the serve warm-roots adopter, warms
+    a cache and charges no query's budget.  A payload that decodes
+    counts its nodes and packed segment bytes as spliced traffic.
     """
     with _governor.suspended():
         roots = decode_roots(payload)

@@ -19,9 +19,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-#: The scalar counters :meth:`KernelStats.work` ships across a fork.
-_WORK_COUNTERS = ("delta_queries", "delta_capped", "frontier_nodes")
-
 
 class MemoStats:
     """Hit/miss counters for one operator's memo table."""
@@ -58,7 +55,6 @@ class KernelStats:
         "memos",
         "delta_queries",
         "delta_capped",
-        "frontier_nodes",
         "spliced_ids",
         "spliced_bytes",
         "remap_entries",
@@ -68,24 +64,21 @@ class KernelStats:
         self.interner_hits = 0
         self.interner_misses = 0
         self.memos: Dict[str, MemoStats] = {}
-        #: Delta-frontier walks performed (``delta_depth``/``delta_nodes``).
+        #: Delta-frontier walks performed (``trie.delta_depth``).
         self.delta_queries = 0
         #: Walks abandoned at :data:`repro.traces.trie.DELTA_WALK_CAP` —
         #: each one degraded a potential skip to a full re-denotation.
         self.delta_capped = 0
-        #: Fresh subtrees enumerated across all frontier walks.
-        self.frontier_nodes = 0
         #: Nodes decoded from shipped segment payloads
-        #: (:func:`repro.traces.snapshot.splice_segments`) — a forked
-        #: engine child's roots or a shared solved-system frame.
+        #: (:func:`repro.traces.snapshot.splice_segments`) — a serve
+        #: worker's shared solved-system frame.
         self.spliced_ids = 0
         #: Packed segment bytes of those payloads (arity, edge tables,
         #: counts, heights) — the cross-process traffic.
         self.spliced_bytes = 0
-        #: Non-trivial id remappings performed by
-        #: :func:`repro.traces.trie.reintern` — the total size of the
-        #: foreign-id → canonical-id tables built when closures cross
-        #: kernel states.
+        #: Payload-index → canonical-id remappings made when a snapshot
+        #: file or a spliced payload is decoded into the current arena
+        #: (:func:`repro.traces.snapshot.decode_roots`), one per node.
         self.remap_entries = 0
 
     # -- recording ---------------------------------------------------------
@@ -97,46 +90,6 @@ class KernelStats:
         except KeyError:
             stats = self.memos[operator] = MemoStats()
             return stats
-
-    # -- shipping work across a fork ----------------------------------------
-
-    def work(self) -> Dict[str, object]:
-        """The *work* counters a forked engine child ships to its parent:
-        delta walks, capped walks, fresh frontier nodes, and per-operator
-        memo hits/misses, as a JSON-shaped copy.  Gauges (nodes alive,
-        arena bytes) and splice traffic are left out: the parent's own
-        arena and splice account for those."""
-        work: Dict[str, object] = {
-            key: getattr(self, key) for key in _WORK_COUNTERS
-        }
-        work["memos"] = {
-            name: [stats.hits, stats.misses]
-            for name, stats in self.memos.items()
-        }
-        return work
-
-    def work_since(self, before: Dict[str, object]) -> Dict[str, object]:
-        """The work counted since ``before`` (an earlier :meth:`work`)."""
-        now = self.work()
-        delta: Dict[str, object] = {
-            key: now[key] - before[key] for key in _WORK_COUNTERS
-        }
-        memos = {}
-        for name, (hits, misses) in now["memos"].items():
-            hits0, misses0 = before["memos"].get(name, (0, 0))
-            if hits != hits0 or misses != misses0:
-                memos[name] = [hits - hits0, misses - misses0]
-        delta["memos"] = memos
-        return delta
-
-    def add_work(self, delta: Dict[str, object]) -> None:
-        """Count a :meth:`work_since` delta shipped from a child."""
-        for key in _WORK_COUNTERS:
-            setattr(self, key, getattr(self, key) + int(delta.get(key, 0)))
-        for name, (hits, misses) in delta.get("memos", {}).items():
-            stats = self.memo(name)
-            stats.hits += int(hits)
-            stats.misses += int(misses)
 
     # -- reporting ---------------------------------------------------------
 
@@ -170,7 +123,6 @@ class KernelStats:
             "delta": {
                 "queries": self.delta_queries,
                 "capped": self.delta_capped,
-                "frontier_nodes": self.frontier_nodes,
             },
             "spliced": {
                 "ids": self.spliced_ids,
@@ -187,7 +139,6 @@ class KernelStats:
         self.memos.clear()
         self.delta_queries = 0
         self.delta_capped = 0
-        self.frontier_nodes = 0
         self.spliced_ids = 0
         self.spliced_bytes = 0
         self.remap_entries = 0
@@ -237,7 +188,6 @@ def format_stats() -> str:
     if delta["queries"]:
         lines.append(
             f"  delta frontiers: {delta['queries']} walks, "
-            f"{delta['frontier_nodes']} fresh nodes enumerated, "
             f"{delta['capped']} capped"
         )
     spliced = snap["spliced"]

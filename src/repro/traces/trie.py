@@ -29,14 +29,13 @@ kernel keeps working unchanged.  Views are canonical per id —
 of views coincides with id equality.
 
 Arena, interner, and memo tables live in a :class:`KernelState`.  There
-is one global state; a forked denotation-engine child swaps in a
-private state via :func:`private_state` and carries its solved
-dependencies over with :func:`reintern`, which remaps both node ids and
-event ids.  The override is thread-local, so library callers may run
-kernels on their own threads the same way.  **Arena ids
-are state-local**: using a view from one state inside another raises
-:class:`~repro.errors.KernelStateError` rather than silently aliasing —
-see :func:`node_id`.
+is one global state; a governed query swaps in a fresh private state
+via :func:`private_state`, so ``--max-nodes`` counts the same fresh
+nodes however warm the process is.  The override is thread-local, so
+library callers may run kernels on their own threads the same way.
+**Arena ids are state-local**: using a view from one state inside
+another raises :class:`~repro.errors.KernelStateError` rather than
+silently aliasing — see :func:`node_id`.
 
 Operators over nodes live in :mod:`repro.traces.operations`; this module
 provides construction, interning, the lattice operations, the delta
@@ -347,21 +346,15 @@ def current_state() -> KernelState:
     return _state()
 
 
-def memo_table(name: str) -> Dict:
-    """The current state's memo table for ``name`` (resolved once per
-    top-level operator call, then threaded through the recursion)."""
-    return _state().memo(name)
-
-
 @contextmanager
 def private_state() -> Iterator[KernelState]:
     """Run the calling *thread* against a fresh private kernel state.
 
-    Nodes built inside are interned privately (no contention with other
-    threads); canonicalise their roots afterwards with :func:`reintern`
-    on the thread that owns the target state.  The private arena seeds
-    its own node 0, and ``view(0)`` is :data:`EMPTY_NODE` everywhere, so
-    the ⟦STOP⟧ closure stays canonical across states.
+    Nodes built inside are interned into a private arena that starts
+    empty: no contention with other threads, and no hits on what earlier
+    work left interned.  The private arena seeds its own node 0, and
+    ``view(0)`` is :data:`EMPTY_NODE` everywhere, so the ⟦STOP⟧ closure
+    stays canonical across states.
 
     **Arena ids are state-local.**  A view that leaks out of the
     ``with`` block (or into it, from the ambient state) is only readable
@@ -370,8 +363,9 @@ def private_state() -> Iterator[KernelState]:
     a different state raises :class:`~repro.errors.KernelStateError`:
     its id names a row of the *other* arena, and using the bare int here
     would silently alias an unrelated node.  Cross the boundary with
-    :func:`reintern`, which rebuilds the structure under this state's
-    node and event ids.
+    :func:`~repro.traces.snapshot.export_segments` and
+    :func:`~repro.traces.snapshot.splice_segments`, which rebuild the
+    structure under the target state's node and event ids.
     """
     previous = getattr(_TLS, "state", None)
     _TLS.state = KernelState()
@@ -393,7 +387,7 @@ def node_id(node: ClosureNode, arena: Arena) -> int:
     raise KernelStateError(
         "trie node used across kernel states: arena ids are state-local "
         "(a node built under private_state() or before clear_interner() "
-        "must be carried over with reintern(), not used directly)"
+        "must be exported and spliced back, not used directly)"
     )
 
 
@@ -447,59 +441,6 @@ def clear_interner() -> None:
     state = _state()
     state.arena = Arena()
     state.memos.clear()
-
-
-def reintern(node: ClosureNode) -> ClosureNode:
-    """The canonical equivalent of ``node`` in the *current* state.
-
-    A view of the current arena is already canonical (interning is keyed
-    structurally, so per-arena ids are unique per structure) and maps to
-    itself.  A foreign view is rebuilt bottom-up with an explicit stack
-    (deep tries are legitimate inputs), remapping the foreign arena's
-    event ids to this arena's through the Event objects themselves —
-    two structurally equal foreign nodes land on the same local id, the
-    property that makes per-worker arenas sound.
-    """
-    arena = _state().arena
-    source = node.arena
-    if source is arena or source is None:
-        return node
-    src_events = source.edge_events
-    src_children = source.edge_children
-    src_start = source.edge_start
-    src_len = source.edge_len
-    intern_event = arena.intern_event
-    event_map: Dict[int, int] = {}
-    node_map: Dict[int, int] = {0: 0}
-    stack: List[Tuple[int, bool]] = [(node.id, False)]
-    while stack:
-        nid, expanded = stack.pop()
-        if nid in node_map:
-            continue
-        start = src_start[nid]
-        end = start + src_len[nid]
-        if expanded:
-            pairs = []
-            for k in range(start, end):
-                eid = src_events[k]
-                local = event_map.get(eid)
-                if local is None:
-                    local = event_map[eid] = intern_event(source.events[eid])
-                pairs.append((local, node_map[src_children[k]]))
-            pairs.sort()
-            flat: List[int] = []
-            for e, c in pairs:
-                flat.append(e)
-                flat.append(c)
-            node_map[nid] = arena.intern(flat)
-            continue
-        stack.append((nid, True))
-        for k in range(start, end):
-            child = src_children[k]
-            if child not in node_map:
-                stack.append((child, False))
-    KERNEL_STATS.remap_entries += len(node_map) - 1
-    return arena.view(node_map[node.id])
 
 
 # -- construction -----------------------------------------------------------
@@ -901,10 +842,6 @@ def truncate_ids(arena: Arena, nid: int, depth: int, memo: Dict, stats) -> int:
 #: re-denotation instead of an expensive analysis.
 DELTA_WALK_CAP = 4096
 
-#: Sentinel child id for "the old trie has no counterpart here".
-_NO_NODE = -1
-
-
 def _edge_map(arena: Arena, nid: int) -> Dict[int, int]:
     """One node's span as an ``{event id: child id}`` dict."""
     start = arena.edge_start[nid]
@@ -912,48 +849,6 @@ def _edge_map(arena: Arena, nid: int) -> Dict[int, int]:
     edge_events = arena.edge_events
     edge_children = arena.edge_children
     return {edge_events[k]: edge_children[k] for k in range(start, end)}
-
-
-def delta_nodes(
-    old: ClosureNode, new: ClosureNode, cap: int = DELTA_WALK_CAP
-) -> Optional[Tuple[ClosureNode, ...]]:
-    """The frontier of subtrees of ``new`` that are fresh relative to
-    ``old``: every node of ``new`` reachable without crossing an
-    id-identical shared subtree.  Returns ``None`` when the walk exceeds
-    ``cap`` pairs (callers must then treat the whole trie as changed).
-    ``()`` when the roots are identical."""
-    arena = _state().arena
-    oid = node_id(old, arena)
-    nid = node_id(new, arena)
-    if oid == nid:
-        return ()
-    KERNEL_STATS.delta_queries += 1
-    edge_events = arena.edge_events
-    edge_children = arena.edge_children
-    edge_start = arena.edge_start
-    edge_len = arena.edge_len
-    fresh: Dict[int, None] = {}
-    seen = set()
-    stack: List[Tuple[int, int]] = [(oid, nid)]
-    while stack:
-        o, n = stack.pop()
-        key = (o, n)
-        if key in seen:
-            continue
-        seen.add(key)
-        if len(seen) > cap:
-            KERNEL_STATS.delta_capped += 1
-            return None
-        fresh[n] = None
-        old_children = _edge_map(arena, o) if o != _NO_NODE else {}
-        start = edge_start[n]
-        for k in range(start, start + edge_len[n]):
-            child = edge_children[k]
-            o_child = old_children.get(edge_events[k], _NO_NODE)
-            if o_child != child:
-                stack.append((o_child, child))
-    KERNEL_STATS.frontier_nodes += len(fresh)
-    return tuple(arena.view(n) for n in fresh)
 
 
 def delta_depth(

@@ -5,8 +5,7 @@ The engine's contract is *exact* reproduction of the monolithic
 roots per definition (and per sampled array subscript) — while spending
 strictly fewer definition-level denotations.  These tests check that
 contract on the full systems suite, plus the engine-specific behaviours:
-SCC plans, delta accounting, forked workers (and the sequential
-fallback without ``os.fork``), budget soundness, and loud failure on
+SCC plans, delta accounting, budget soundness, and loud failure on
 unscheduled bindings.
 """
 
@@ -50,29 +49,6 @@ class TestChainEquivalence:
         chain = ApproximationChain(defs, env, CFG)
         engine = DenotationEngine(defs, env, CFG)
         _assert_pointer_identical(chain.fixpoint(), engine)
-
-    @pytest.mark.parametrize("system", SYSTEMS)
-    def test_pointer_identical_with_two_jobs(self, system):
-        defs, env = system.definitions(), system.environment()
-        chain = ApproximationChain(defs, env, CFG)
-        engine = DenotationEngine(defs, env, CFG, jobs=2)
-        _assert_pointer_identical(chain.fixpoint(), engine)
-
-    def test_two_jobs_without_fork_solve_sequentially(self, monkeypatch):
-        # Hosts without os.fork run jobs > 1 in-process, one SCC after
-        # another: same roots as jobs=1, and no child is ever forked.
-        import os
-
-        defs, env = philosophers.definitions(), philosophers.environment()
-        sequential = DenotationEngine(defs, env, CFG).fixpoint()
-        monkeypatch.delattr(os, "fork")
-
-        def forked(*args, **kwargs):
-            raise AssertionError("forked without os.fork")
-
-        monkeypatch.setattr(DenotationEngine, "_solve_processes", forked)
-        engine = DenotationEngine(defs, env, CFG, jobs=2)
-        _assert_pointer_identical(sequential, engine)
 
     def test_fixpoint_shape_matches_chain(self):
         defs, env = multiplier.definitions(), multiplier.environment()
@@ -179,43 +155,38 @@ class TestErrors:
         with pytest.raises(SemanticsError, match="raise config.sample"):
             bindings["mult"](99)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_worker_errors_keep_their_class(self, jobs):
+    def test_worker_errors_keep_their_class(self):
         # multiplier's environment carries the vector host function; drop
-        # it so every SCC's denotation fails, including in forked workers.
-        # The caller must see the *original* exception class: a child's
-        # error is rebuilt in the parent by class name, never laundered
-        # into a plain ReproError.
+        # it so every SCC's denotation fails.  The caller must see the
+        # *original* exception class, never a plain ReproError.
         from repro.errors import UnboundVariableError
         from repro.values.environment import Environment
 
         defs = multiplier.definitions()
-        engine = DenotationEngine(defs, Environment(), CFG, jobs=jobs)
+        engine = DenotationEngine(defs, Environment(), CFG)
         with pytest.raises(UnboundVariableError, match="'v'"):
             engine.run()
 
 
 class TestBudgets:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_budget_trip_carries_engine_checkpoint(self, jobs):
+    def test_budget_trip_carries_engine_checkpoint(self):
         # A private kernel state makes every node newly interned, so the
         # node budget bites regardless of what earlier tests built.
         from repro.traces.trie import private_state
 
         defs, env = multiplier.definitions(), multiplier.environment()
         with private_state(), activate(Budget(max_nodes=40).start()):
-            engine = DenotationEngine(defs, env, CFG, jobs=jobs)
+            engine = DenotationEngine(defs, env, CFG)
             with pytest.raises(BudgetExceeded) as excinfo:
                 engine.run()
         checkpoint = excinfo.value.checkpoint
         assert checkpoint is not None
         assert checkpoint.phase == "engine"
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_deadline_trip_is_budget_exceeded(self, jobs):
+    def test_deadline_trip_is_budget_exceeded(self):
         defs, env = protocol.definitions(), protocol.environment()
         with activate(Budget(deadline=0.0).start()):
-            engine = DenotationEngine(defs, env, CFG, jobs=jobs)
+            engine = DenotationEngine(defs, env, CFG)
             with pytest.raises(BudgetExceeded):
                 engine.run()
 
@@ -243,14 +214,6 @@ class TestHorizonSkips:
         engine.run()
         assert engine.frontier_skipped > 0
         assert engine.delta_skipped >= engine.frontier_skipped
-        chain = ApproximationChain(defs, env, self.DEEP)
-        _assert_pointer_identical(chain.fixpoint(), engine)
-
-    def test_horizon_skips_survive_forked_workers(self):
-        defs, env = protocol.definitions(), protocol.environment()
-        engine = DenotationEngine(defs, env, self.DEEP, jobs=2)
-        engine.run()
-        assert engine.frontier_skipped > 0
         chain = ApproximationChain(defs, env, self.DEEP)
         _assert_pointer_identical(chain.fixpoint(), engine)
 

@@ -4,8 +4,7 @@ For random guarded definition lists — mutual recursion, self-loops, and
 process arrays included — the dependency-graph engine must be
 
 * **pointer-identical** to the monolithic approximation chain on the
-  hash-consed trie kernel (the engine's exactness contract), sequential
-  and with forked workers alike; and
+  hash-consed trie kernel (the engine's exactness contract); and
 * **value-equal** to the chain run on the flat-set ``_reference`` kernel
   (the independent oracle the trie kernel is itself validated against).
 """
@@ -94,16 +93,6 @@ def test_engine_pointer_identical_to_chain(source):
     defs = parse_definitions(source)
     chain_fix = _roots(ApproximationChain(defs, config=CFG).fixpoint())
     engine = DenotationEngine(defs, config=CFG)
-    for (name, subscript), closure in chain_fix.items():
-        assert engine.closure_for(name, subscript).root is closure.root
-
-
-@settings(max_examples=25, deadline=None)
-@given(definition_sources())
-def test_engine_with_workers_pointer_identical_to_chain(source):
-    defs = parse_definitions(source)
-    chain_fix = _roots(ApproximationChain(defs, config=CFG).fixpoint())
-    engine = DenotationEngine(defs, config=CFG, jobs=2)
     for (name, subscript), closure in chain_fix.items():
         assert engine.closure_for(name, subscript).root is closure.root
 

@@ -107,6 +107,14 @@ class TestQueryPayload:
         defs = parse_definitions(COPIER)
         assert "budget" not in protocol.query("traces", defs)
 
+    def test_jobs_is_neither_sent_nor_keyed(self):
+        defs = parse_definitions(COPIER)
+        payload = protocol.query("check", defs, spec="wire <= input")
+        assert "jobs" not in payload
+        assert protocol.situation(dict(payload, jobs=8)) == protocol.situation(
+            payload
+        )
+
     def test_payload_is_json_clean(self):
         defs = parse_definitions(COPIER)
         payload = protocol.query("check", defs, spec="wire <= input")

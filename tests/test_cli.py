@@ -440,25 +440,7 @@ class TestBudgetsAndExitCodes:
 
 
 class TestEngineFlags:
-    """--jobs / --cache-dir / --no-cache / --explain-plan plumbing."""
-
-    def test_jobs_two_traces_identical(self, copier_file, capsys):
-        assert (
-            main(
-                ["traces", copier_file, "--process", "copier", "--depth", "3",
-                 "--no-cache"]
-            )
-            == 0
-        )
-        sequential = capsys.readouterr().out
-        assert (
-            main(
-                ["traces", copier_file, "--process", "copier", "--depth", "3",
-                 "--jobs", "2", "--no-cache"]
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == sequential
+    """--cache-dir / --no-cache / --explain-plan plumbing."""
 
     def test_check_warm_cache_second_run(self, copier_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
@@ -587,33 +569,20 @@ class TestEngineFlags:
         warm = capsys.readouterr().out
         assert "cache hit" in warm
 
-    def test_explain_plan_jobs_two(self, copier_file, capsys):
-        assert (
-            main(
-                ["stats", copier_file, "--explain-plan", "--depth", "3",
-                 "--jobs", "2", "--no-cache"]
-            )
-            == 0
-        )
-        assert "jobs=2" in capsys.readouterr().out
-
     def test_traces_budget_trip_under_jobs(self, copier_file, capsys):
         code = main(
             ["traces", copier_file, "--process", "copier", "--depth", "6",
-             "--jobs", "2", "--deadline", "0"]
+             "--deadline", "0"]
         )
         assert code == 4
 
     def test_worker_error_exit_code_without_debug(self, tmp_path, capsys):
-        # two independent recursive definitions over an unbound set: both
-        # SCCs fail during denotation (in forked workers with --jobs 2),
-        # and the CLI must still map the error to the semantics exit code
+        # two independent recursive definitions over an unbound set: the
+        # first SCC fails during denotation, and the CLI must still map
+        # the error to the semantics exit code
         path = tmp_path / "unbound.csp"
         path.write_text("p = a?x:S -> p; q = b?y:S -> q")
-        code = main(
-            ["traces", str(path), "--process", "p", "--jobs", "2",
-             "--no-cache"]
-        )
+        code = main(["traces", str(path), "--process", "p", "--no-cache"])
         assert code == 3
         assert "unbound" in capsys.readouterr().err
 
@@ -624,8 +593,8 @@ class TestEngineFlags:
         path.write_text("p = a?x:S -> p; q = b?y:S -> q")
         with pytest.raises(UnboundVariableError):
             main(
-                ["traces", str(path), "--process", "p", "--jobs", "2",
-                 "--no-cache", "--debug"]
+                ["traces", str(path), "--process", "p", "--no-cache",
+                 "--debug"]
             )
 
 
@@ -680,21 +649,15 @@ class TestStats:
         assert "memo tables" in out
 
     def test_forked_children_ship_their_delta_walks(self, protocol_file, capsys):
-        # Under --jobs 2 the delta walks happen in forked children; their
-        # counters must reach the parent's report, equal to --jobs 1.
-        def walks(jobs):
-            code = main(
-                ["stats", protocol_file, "--set", "M=0,1", "--with-cancel",
-                 "f", "--depth", "5", "--no-cache", "--explain-plan",
-                 "--jobs", jobs]
-            )
-            assert code == 0
-            out = capsys.readouterr().out
-            return re.search(r"delta frontiers: (\d+) walks", out).group(1)
-
-        sequential = walks("1")
-        assert int(sequential) > 0
-        assert walks("2") == sequential
+        # The horizon skip's delta walks reach the --explain-plan report.
+        code = main(
+            ["stats", protocol_file, "--set", "M=0,1", "--with-cancel",
+             "f", "--depth", "5", "--no-cache", "--explain-plan"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        walks = re.search(r"delta frontiers: (\d+) walks", out).group(1)
+        assert int(walks) > 0
 
     def test_stats_with_spec_checks_and_reports(self, copier_file, capsys):
         code = main(
@@ -739,9 +702,9 @@ class TestOptionBounds:
             ["serve", "--socket", "{socket}", "--max-attempts", "0"],
             ["serve", "--socket", "{socket}", "--max-requests", "0"],
             ["serve", "--socket", "{socket}", "--max-requests", "-1"],
-            ["check", "{file}", "--spec", "wire <= input", "--jobs", "0"],
-            ["traces", "{file}", "--jobs", "-3"],
-            ["stats", "{file}", "--jobs", "0"],
+            ["check", "{file}", "--spec", "wire <= input", "--max-nodes", "-1"],
+            ["check", "{file}", "--spec", "wire <= input", "--max-states", "-1"],
+            ["stats", "{file}", "--max-states", "-1"],
             ["simulate", "{file}", "--steps", "-2"],
         ],
     )
@@ -754,6 +717,21 @@ class TestOptionBounds:
         err = capsys.readouterr().err
         assert "must be at least" in err
         assert "Traceback" not in err
+
+    def test_jobs_is_a_serve_flag_only(self, copier_file, capsys):
+        # check/traces/stats solve one SCC after another and take no
+        # --jobs: the flag is a usage error there, not a silent no-op.
+        for argv in (
+            ["check", copier_file, "--spec", "wire <= input", "--jobs", "2"],
+            ["traces", copier_file, "--jobs", "2"],
+            ["stats", copier_file, "--jobs", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --jobs 2" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, wording",
@@ -797,7 +775,7 @@ class TestOptionBounds:
         code = main(
             ["check", copier_file, "--process", "copier", "--spec",
              "wire <= input", "--depth", "0", "--max-nodes", "0",
-             "--max-states", "0", "--jobs", "1", "--no-cache"]
+             "--max-states", "0", "--no-cache"]
         )
         assert code in (0, 4)
         code = main(

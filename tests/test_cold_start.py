@@ -2,23 +2,17 @@
 
 numpy is not a dependency of ``repro``, and importing it costs more
 than the rest of the package together, in time and in memory.  The
-snapshot codec is pure Python.  These tests run in a fresh interpreter
-each (the test process may have loaded numpy for other reasons) and
-check that numpy stays out of:
-
-* a one-shot ``check --no-cache``, ``traces --no-cache`` or
-  ``deadlocks``, and a cached ``check`` that writes and reads a
-  snapshot;
-* a ``--jobs 2`` solve, in the parent and in every forked child, whose
-  roots are still pointer-identical to a sequential solve.
+snapshot codec is pure Python.  The test runs in a fresh interpreter
+(the test process may have loaded numpy for other reasons) and checks
+that numpy stays out of a one-shot ``check --no-cache``, ``traces
+--no-cache`` or ``deadlocks``, and out of a cached ``check`` that writes
+and reads a snapshot.
 """
 
 import json
 import os
 import subprocess
 import sys
-
-import pytest
 
 import repro
 
@@ -58,56 +52,6 @@ print(json.dumps({"codes": codes, "uncached": uncached,
                   "cached": "numpy" in sys.modules}))
 """
 
-FORKED = """
-import json, os, sys
-from repro.semantics.config import SemanticsConfig
-from repro.semantics.engine import DenotationEngine
-from repro.systems import philosophers
-
-log = sys.argv[1]
-
-
-class NumpyTripwire:
-    # Inherited by forked children: any process that looks numpy up
-    # leaves its pid in the log.
-    def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "numpy":
-            with open(log, "a") as handle:
-                handle.write(f"{os.getpid()}\\n")
-        return None
-
-
-sys.meta_path.insert(0, NumpyTripwire())
-forks = []
-real_fork = os.fork
-
-
-def fork():
-    forks.append("numpy" in sys.modules)
-    return real_fork()
-
-
-def roots(fixpoint):
-    flat = {}
-    for name, value in fixpoint.items():
-        for sub, closure in (value.items() if isinstance(value, dict)
-                             else [(None, value)]):
-            flat[(name, sub)] = closure.root
-    return flat
-
-
-os.fork = fork
-defs, env = philosophers.definitions(), philosophers.environment()
-config = SemanticsConfig(depth=5, sample=3)
-forked = roots(DenotationEngine(defs, env, config, jobs=2).fixpoint())
-sequential = roots(DenotationEngine(defs, env, config).fixpoint())
-identical = forked.keys() == sequential.keys() and all(
-    forked[key] is root for key, root in sequential.items()
-)
-print(json.dumps({"forks": forks, "loaded": "numpy" in sys.modules,
-                  "identical": identical}))
-"""
-
 
 def test_one_shot_queries_never_import_numpy(tmp_path):
     from repro.systems import copier
@@ -121,13 +65,3 @@ def test_one_shot_queries_never_import_numpy(tmp_path):
     assert result["uncached"] is False
     assert result["cached"] is False
 
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_solve_never_imports_numpy(tmp_path):
-    log = tmp_path / "numpy-lookups"
-    result = _fresh_interpreter(FORKED, str(log))
-    assert result["forks"]  # philosophers fans rank 0 out to children
-    assert not any(result["forks"])
-    assert result["loaded"] is False
-    assert not log.exists(), log.read_text()
-    assert result["identical"] is True

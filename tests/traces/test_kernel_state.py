@@ -1,9 +1,7 @@
-"""Unit tests for per-thread kernel state and node re-interning.
+"""Unit tests for per-thread kernel state.
 
-``private_state`` gives a worker its own interner+memo universe so
-parallel SCC solves never contend; ``reintern`` carries a structure
-built in one universe back into the ambient one, landing on exactly the
-nodes the ambient interner would have built itself.
+``private_state`` gives the calling thread its own interner+memo
+universe, starting empty, and restores the previous one on exit.
 """
 
 import threading
@@ -12,13 +10,7 @@ from repro.process.ast import Name
 from repro.process.parser import parse_definitions
 from repro.semantics.config import SemanticsConfig
 from repro.semantics.denotation import denote
-from repro.traces.trie import (
-    EMPTY_NODE,
-    interner_size,
-    make_node,
-    private_state,
-    reintern,
-)
+from repro.traces.trie import interner_size, make_node, private_state
 
 CFG = SemanticsConfig(depth=3, sample=2)
 
@@ -65,28 +57,3 @@ class TestPrivateState:
             t.join()
         assert sizes[0] == sizes[1] > 1
 
-
-class TestReintern:
-    def test_ambient_node_is_fixed_point(self):
-        closure = _denote_p()
-        assert reintern(closure.root) is closure.root
-
-    def test_private_node_lands_on_ambient_canonical(self):
-        ambient = _denote_p()
-        with private_state():
-            private = _denote_p()
-            assert private.root is not ambient.root
-        # merge back in the ambient state, the way the engine does
-        assert reintern(private.root) is ambient.root
-
-    def test_empty_node_reinterns_to_empty(self):
-        with private_state():
-            private_empty = make_node({})
-            merged = reintern(private_empty)
-        assert merged is EMPTY_NODE
-
-    def test_idempotent(self):
-        with private_state():
-            node = _denote_p().root
-        once = reintern(node)
-        assert reintern(once) is once

@@ -1,23 +1,16 @@
-"""Unit tests for the sub-level delta primitives of the trie kernel.
+"""Unit tests for the sub-level delta primitive of the trie kernel.
 
 ``delta_depth`` is the engine's horizon oracle: the shallowest depth at
-which one chain level grew over its predecessor.  ``delta_nodes`` is the
-frontier enumeration behind the ``repro stats --explain-plan`` counters.
-Both exploit hash-consing — pointer-identical subtrees are pruned
-without descent — so the tests below exercise sharing explicitly.
+which one chain level grew over its predecessor.  It exploits
+hash-consing — pointer-identical subtrees are pruned without descent —
+so the tests below exercise sharing explicitly.
 """
 
 from repro.traces.events import trace
 from repro.traces.operations import delta_depth as closure_delta_depth
-from repro.traces.operations import delta_frontier
 from repro.traces.prefix_closure import FiniteClosure
 from repro.traces.stats import KERNEL_STATS, reset_stats
-from repro.traces.trie import (
-    delta_depth,
-    delta_nodes,
-    node_from_traces,
-    truncate_node,
-)
+from repro.traces.trie import delta_depth, node_from_traces, truncate_node
 
 A = trace(("a", 1))
 AB = trace(("a", 1), ("b", 2))
@@ -85,45 +78,11 @@ class TestDeltaDepth:
         assert KERNEL_STATS.memo("delta-depth").hits >= 1
 
 
-class TestDeltaNodes:
-    def test_identical_roots_yield_empty_frontier(self):
-        root = node_from_traces([AB])
-        assert delta_nodes(root, root) == ()
-
-    def test_fresh_subtrees_are_enumerated(self):
-        old = node_from_traces([AB])
-        new = node_from_traces([AB, XY])
-        fresh = delta_nodes(old, new)
-        assert fresh is not None
-        ids = {id(n) for n in fresh}
-        # The new root and the x/y spine are fresh; the shared a-b
-        # subtree is pruned at the pointer-identity boundary.
-        assert id(new) in ids
-        assert id(new.children[AB[0]]) not in ids
-
-    def test_cap_returns_none(self):
-        old = node_from_traces([AB])
-        new = node_from_traces([ABC])
-        assert delta_nodes(old, new, cap=0) is None
-
-    def test_frontier_counter_accumulates(self):
-        old = node_from_traces([trace(("u", 1))])
-        new = node_from_traces([trace(("u", 1), ("v", 2))])
-        reset_stats()
-        fresh = delta_nodes(old, new)
-        assert KERNEL_STATS.frontier_nodes == len(fresh) > 0
-
-
 class TestClosureWrappers:
     def test_closure_delta_depth_matches_node_level(self):
         old = FiniteClosure.from_traces([AB])
         new = FiniteClosure.from_traces([ABC])
         assert closure_delta_depth(old, new) == delta_depth(old.root, new.root)
-
-    def test_closure_frontier_matches_node_level(self):
-        old = FiniteClosure.from_traces([AB])
-        new = FiniteClosure.from_traces([AB, XY])
-        assert delta_frontier(old, new) == delta_nodes(old.root, new.root)
 
     def test_stats_snapshot_exposes_delta_section(self):
         reset_stats()
