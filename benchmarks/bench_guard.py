@@ -111,17 +111,21 @@ MAX_SERVE_WARM_S = 0.025
 
 #: Absolute ceilings on ``BENCH_explorer.json``'s layer cases, in
 #: calibration loops (as ``LAYER_CEILINGS``), at about 3× the highest
-#: value of five runs on a 2-vCPU host: copier 0.059–0.07 loops,
-#: 4-seat philosophers 2.2–2.8, the deadlock searches 0.59–0.83 and
-#: 0.6–0.84, the warm reload 0.1–0.12.  Walking trace by trace
-#: measured 5.3, 16.5, 2.6 and 8.6 on the four cold cases.  No ratio
-#: of warm to cold is held: with cold explorations of a millisecond or
-#: so, ``explorer_cases`` records ×1.1–5.3, which says nothing stable.
+#: value of five runs on a 2-vCPU host.  Stepping each component once
+#: per call (the transition memo) and reading unsorted moves measured
+#: 4-seat philosophers at 1.14–1.46 loops and the deadlock searches at
+#: 0.34–0.46 and 0.37–0.44, where re-deriving and sorting every
+#: configuration's steps measured 2.2–2.8, 0.59–0.83 and 0.6–0.84;
+#: copier read 0.045–0.063 and the warm reload 0.07–0.13.  Walking
+#: trace by trace measured 5.3, 16.5, 2.6 and 8.6 on the four cold
+#: cases.  No ratio of warm to cold is held: with cold explorations of
+#: a millisecond or so, ``explorer_cases`` records ×1.1–5.3, which says
+#: nothing stable.
 EXPLORER_LAYER_CEILINGS = {
     "cold explore copier.network depth=9": 0.25,
-    "cold explore philosophers(4).table depth=6": 8.5,
-    "deadlocks philosophers(3).table depth=5": 2.5,
-    "deadlocks buffer(3).buffer depth=4": 2.5,
+    "cold explore philosophers(4).table depth=6": 4.4,
+    "deadlocks philosophers(3).table depth=5": 1.4,
+    "deadlocks buffer(3).buffer depth=4": 1.4,
     "warm reload philosophers.table depth=5": 0.45,
 }
 

@@ -25,10 +25,21 @@ the snapshot files written from them) do not depend on the hash seed.
 in configuration space and handled by the closure's visited set; a
 ``max_states`` budget guards against genuinely infinite-state networks.
 
-The explorer memoises three things, each stored only once complete so
-that an abort leaves them consistent: each configuration's τ-closure,
-each configuration's :meth:`~repro.operational.step.OperationalSemantics.steps`,
-and each set's successor map e ↦ τ(succ_e(S)).  Budget accounting is
+The explorer memoises three things across calls, each stored only once
+complete so that an abort leaves them consistent: each configuration's
+τ-closure, each configuration's
+:meth:`~repro.operational.step.OperationalSemantics.moves`, and each
+set's successor map e ↦ τ(succ_e(S)).  It reads the moves, not the
+sorted :meth:`~repro.operational.step.OperationalSemantics.steps`:
+closures are sets, successor maps are sorted by event, and levels keep
+the order the walk discovers their sets in, which the order of a
+configuration's moves does not change.  Each of
+:meth:`Explorer.visible_traces` and :meth:`Explorer.deadlock_report`
+also runs inside
+:meth:`~repro.operational.step.OperationalSemantics.memoised`, so a
+component's transitions are derived once per call however many
+configurations contain it; that memo dies when the call returns or
+trips.  Budget accounting is
 **per call**: each public entry point resets the touched-state counter,
 so one long-lived explorer serving many queries does not leak budget
 from one query into the next.  A configuration is *touched* each time
@@ -106,7 +117,7 @@ class Explorer:
         self.semantics = semantics
         self.max_states = max_states
         self._closure_memo: Dict[State, StateSet] = {}
-        self._steps_memo: Dict[State, Tuple[Step, ...]] = {}
+        self._moves_memo: Dict[State, Tuple[Step, ...]] = {}
         self._successor_memo: Dict[StateSet, Successors] = {}
         self._states_touched = 0
 
@@ -120,11 +131,12 @@ class Explorer:
         """Configurations visited by the most recent query."""
         return self._states_touched
 
-    def _steps(self, state: State) -> Tuple[Step, ...]:
-        steps = self._steps_memo.get(state)
-        if steps is None:
-            steps = self._steps_memo[state] = self.semantics.steps(state)
-        return steps
+    def moves(self, state: State) -> Tuple[Step, ...]:
+        """The steps of ``state``, memoised, in no particular order."""
+        moves = self._moves_memo.get(state)
+        if moves is None:
+            moves = self._moves_memo[state] = self.semantics.moves(state)
+        return moves
 
     # -- τ-closure ---------------------------------------------------------
 
@@ -137,7 +149,7 @@ class Explorer:
         while queue:
             current = queue.popleft()
             self._touch()
-            for step in self._steps(current):
+            for step in self.moves(current):
                 if step.is_internal and step.state not in seen:
                     seen.add(step.state)
                     queue.append(step.state)
@@ -162,7 +174,7 @@ class Explorer:
             return known
         targets: Dict[Event, Set[State]] = {}
         for state in states:
-            for step in self._steps(state):
+            for step in self.moves(state):
                 if step.event is not None:
                     targets.setdefault(step.event, set()).update(
                         self.tau_closure(step.state)
@@ -187,28 +199,29 @@ class Explorer:
         traces = 0  # of length ≤ level
         level = 0
         try:
-            initial = self.tau_closure(self.semantics.initial_state(term))
-            frontier: Dict[StateSet, int] = {initial: 1}  # set → traces reaching it
-            levels = [frontier]
-            traces = 1
-            for level in range(depth):
-                governor = _governor.current()
-                if governor is not None:
-                    governor.check_deadline()
-                    governor.record_progress(
-                        phase="explore",
-                        completed_depth=level,
-                        traces_verified=traces,
-                    )
-                next_frontier: Dict[StateSet, int] = {}
-                for states, count in frontier.items():
-                    for _event, target in self._successors(states):
-                        next_frontier[target] = next_frontier.get(target, 0) + count
-                if not next_frontier:
-                    break
-                frontier = next_frontier
-                levels.append(frontier)
-                traces += sum(frontier.values())
+            with self.semantics.memoised():
+                initial = self.tau_closure(self.semantics.initial_state(term))
+                frontier: Dict[StateSet, int] = {initial: 1}  # set → traces reaching it
+                levels = [frontier]
+                traces = 1
+                for level in range(depth):
+                    governor = _governor.current()
+                    if governor is not None:
+                        governor.check_deadline()
+                        governor.record_progress(
+                            phase="explore",
+                            completed_depth=level,
+                            traces_verified=traces,
+                        )
+                    next_frontier: Dict[StateSet, int] = {}
+                    for states, count in frontier.items():
+                        for _event, target in self._successors(states):
+                            next_frontier[target] = next_frontier.get(target, 0) + count
+                    if not next_frontier:
+                        break
+                    frontier = next_frontier
+                    levels.append(frontier)
+                    traces += sum(frontier.values())
         except BudgetExceeded as exc:
             raise exc.with_checkpoint(
                 _governor.trip_checkpoint(
@@ -262,31 +275,32 @@ class Explorer:
         scanned = 0  # the traces of level ``completed``
         trip: Optional[BudgetExceeded] = None
         try:
-            initial = self.tau_closure(self.semantics.initial_state(term))
-            frontier: Dict[StateSet, List[Trace]] = {initial: [()]}
-            for level in range(depth + 1):
-                governor = _governor.current()
-                if governor is not None:
-                    governor.check_deadline()
-                    governor.record_progress(
-                        phase="deadlock", completed_depth=completed
-                    )
-                stuck: List[Trace] = []
-                for states, traces in frontier.items():
-                    if any(not self._steps(state) for state in states):
-                        stuck.extend(traces)
-                deadlocks.extend(sorted(stuck))
-                completed = level
-                scanned = sum(len(traces) for traces in frontier.values())
-                next_frontier: Dict[StateSet, List[Trace]] = {}
-                for states, traces in frontier.items():
-                    for event, target in self._successors(states):
-                        next_frontier.setdefault(target, []).extend(
-                            trace + (event,) for trace in traces
+            with self.semantics.memoised():
+                initial = self.tau_closure(self.semantics.initial_state(term))
+                frontier: Dict[StateSet, List[Trace]] = {initial: [()]}
+                for level in range(depth + 1):
+                    governor = _governor.current()
+                    if governor is not None:
+                        governor.check_deadline()
+                        governor.record_progress(
+                            phase="deadlock", completed_depth=completed
                         )
-                frontier = next_frontier
-                if not frontier:
-                    break
+                    stuck: List[Trace] = []
+                    for states, traces in frontier.items():
+                        if any(not self.moves(state) for state in states):
+                            stuck.extend(traces)
+                    deadlocks.extend(sorted(stuck))
+                    completed = level
+                    scanned = sum(len(traces) for traces in frontier.values())
+                    next_frontier: Dict[StateSet, List[Trace]] = {}
+                    for states, traces in frontier.items():
+                        for event, target in self._successors(states):
+                            next_frontier.setdefault(target, []).extend(
+                                trace + (event,) for trace in traces
+                            )
+                    frontier = next_frontier
+                    if not frontier:
+                        break
         except BudgetExceeded as exc:
             trip = exc.with_checkpoint(
                 _governor.trip_checkpoint(

@@ -22,12 +22,25 @@ same value), or two input offers (both accept: the value ranges over the
 
 Only at the top level — the network's interface with its environment —
 are offers expanded into concrete events, sampled with the configured
-bound; :class:`repro.operational.explorer.Explorer` does that.
+bound: :meth:`OperationalSemantics.moves` does that, in no particular
+order, and :meth:`OperationalSemantics.steps` sorts the moves into the
+order :func:`step_order` fixes.  Only a single scheduled run
+(:mod:`repro.operational.scheduler`) needs that order;
+:class:`repro.operational.explorer.Explorer` reads the moves, because
+nothing it returns depends on the order of a configuration's steps.
+
+A configuration's transitions are built from its components'.  Inside
+a :meth:`OperationalSemantics.memoised` block each configuration's
+transitions — every leaf, ‖ and ``chan`` node at any depth — are derived
+once.  A step changes one or two components, so stepping the successor
+re-derives only the nodes on the path from its root to the changed
+components; the others' transitions come from the memo.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Tuple, Union
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.errors import OperationalError
 from repro.operational.state import ChanState, LeafState, ParallelState, State, lift
@@ -86,6 +99,12 @@ class Step(NamedTuple):
         return self.event is None
 
 
+def step_order(step: Step) -> Tuple[str, str]:
+    """The sort key of :meth:`OperationalSemantics.steps`: internal steps
+    first, then by the rendered event and the rendered successor."""
+    return ("" if step.event is None else repr(step.event), repr(step.state))
+
+
 class OperationalSemantics:
     """The transition relation, parameterised like the denotational
     semantics: a definition list, a global environment (set names, host
@@ -101,6 +120,7 @@ class OperationalSemantics:
         self.definitions = definitions
         self.env = env if env is not None else Environment()
         self.sample = sample
+        self._memo: Optional[Dict[State, List[Transition]]] = None
 
     # -- entry points ---------------------------------------------------------
 
@@ -108,19 +128,48 @@ class OperationalSemantics:
         """The starting configuration for a process term."""
         return lift(term, self.definitions, self.env)
 
+    @contextmanager
+    def memoised(self) -> Iterator[None]:
+        """Derive each configuration's transitions once inside the block.
+
+        The memo is dropped when the block exits, normally or by an
+        exception: it holds every sub-configuration a walk touched with
+        its transitions, so keeping it past one walk would grow with
+        every query a long-lived explorer answers."""
+        self._memo = {}
+        try:
+            yield
+        finally:
+            self._memo = None
+
     def transitions(self, state: State) -> List[Transition]:
-        """All raw transitions (offers kept symbolic)."""
+        """All raw transitions (offers kept symbolic).  Callers must not
+        modify the list: inside :meth:`memoised` it is the memo's."""
+        memo = self._memo
+        if memo is not None:
+            known = memo.get(state)
+            if known is not None:
+                return known
         if isinstance(state, LeafState):
-            return self._term_transitions(state.term)
-        if isinstance(state, ParallelState):
-            return self._parallel_transitions(state)
-        if isinstance(state, ChanState):
-            return self._chan_transitions(state)
-        raise OperationalError(f"unknown state {state!r}")
+            result = self._term_transitions(state.term)
+        elif isinstance(state, ParallelState):
+            result = self._parallel_transitions(state)
+        elif isinstance(state, ChanState):
+            result = self._chan_transitions(state)
+        else:
+            raise OperationalError(f"unknown state {state!r}")
+        if memo is not None:
+            memo[state] = result
+        return result
 
     def steps(self, state: State) -> Tuple[Step, ...]:
+        """:meth:`moves` in :func:`step_order`, so that a seeded
+        scheduler makes the same choices in every process."""
+        return tuple(sorted(self.moves(state), key=step_order))
+
+    def moves(self, state: State) -> Tuple[Step, ...]:
         """Transitions with top-level offers expanded to sampled events,
-        deterministically ordered.  This is the network-as-a-whole view:
+        in no particular order.  This is the network-as-a-whole view:
         the environment supplies input values from the sample."""
         resolved: List[Step] = []
         for transition in self.transitions(state):
@@ -136,12 +185,7 @@ class OperationalSemantics:
                             transition.resume(value),
                         )
                     )
-        return tuple(
-            sorted(
-                resolved,
-                key=lambda s: ("" if s.event is None else repr(s.event), repr(s.state)),
-            )
-        )
+        return tuple(resolved)
 
     # -- sequential terms ------------------------------------------------------
 

@@ -47,7 +47,6 @@ from repro.process.definitions import ArrayDef, DefinitionList
 from repro.runtime import governor as _governor
 from repro.semantics.config import DEFAULT_CONFIG, SemanticsConfig
 from repro.semantics.denotation import Denoter
-from repro.traces import stats as _stats
 from repro.traces import trie as _trie
 from repro.traces.prefix_closure import STOP_CLOSURE, FiniteClosure
 from repro.traces.snapshot import SnapshotCache, fix_slot
@@ -559,7 +558,10 @@ class DenotationEngine:
 
     def explain(self) -> str:
         """Human-readable solve plan and per-level delta/cache account —
-        the payload of ``repro stats --explain-plan``."""
+        the payload of ``repro stats --explain-plan``.  The kernel's
+        delta-frontier and arena counters are not repeated here:
+        ``repro stats`` prints them after the plan, in
+        :func:`~repro.traces.stats.format_stats`."""
         self.run()
         assert self._entries is not None
         lines = [
@@ -602,18 +604,6 @@ class DenotationEngine:
             f"{self.delta_skipped} delta-skipped (of which "
             f"{self.frontier_skipped} sub-level/horizon), {self.cache_hits} "
             f"cache hits ({total} accounted)"
-        )
-        delta = _stats.KERNEL_STATS
-        lines.append(
-            f"  delta frontiers: {delta.delta_queries} walks, "
-            f"{delta.delta_capped} capped"
-        )
-        arena = _trie.arena_info()
-        lines.append(
-            f"  arena: {arena['nodes']} nodes, {arena['edges']} edges, "
-            f"{arena['segment_bytes']} segment bytes, "
-            f"{arena['events']} events / {arena['channels']} channels "
-            f"interned, {arena['views']} views materialised"
         )
         return "\n".join(lines)
 

@@ -132,7 +132,8 @@ def failures(
 
     ``alphabet`` defaults to every event observable within the bound; the
     refusal family after each trace is computed from the stable states
-    reachable by τ.
+    reachable by τ.  Every result is a set, so the walk reads the
+    explorer's memoised, unordered moves.
     """
     explorer = Explorer(semantics, max_states=max_states)
     initial = semantics.initial_state(process)
@@ -145,7 +146,7 @@ def failures(
         next_frontier: Dict[Trace, Set[State]] = {}
         for trace_, states in frontier.items():
             for state in states:
-                for step in semantics.steps(state):
+                for step in explorer.moves(state):
                     if step.is_internal:
                         continue
                     extended = trace_ + (step.event,)
@@ -162,7 +163,7 @@ def failures(
         events: Set[Event] = set()
         for states in per_trace_states.values():
             for state in states:
-                for step in semantics.steps(state):
+                for step in explorer.moves(state):
                     if not step.is_internal:
                         events.add(step.event)  # type: ignore[arg-type]
         alphabet = frozenset(events)
@@ -172,7 +173,7 @@ def failures(
         maximal_sets: Set[FrozenSet[Event]] = set()
         any_stable = False
         for state in states:
-            steps = semantics.steps(state)
+            steps = explorer.moves(state)
             if any(step.is_internal for step in steps):
                 continue  # unstable: refusals are not observable here
             any_stable = True

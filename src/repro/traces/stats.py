@@ -185,11 +185,9 @@ def format_stats() -> str:
     else:
         lines.append("  memo tables: (no operator calls recorded)")
     delta = snap["delta"]
-    if delta["queries"]:
-        lines.append(
-            f"  delta frontiers: {delta['queries']} walks, "
-            f"{delta['capped']} capped"
-        )
+    lines.append(
+        f"  delta frontiers: {delta['queries']} walks, {delta['capped']} capped"
+    )
     spliced = snap["spliced"]
     if spliced["ids"] or spliced["remap_entries"]:
         lines.append(

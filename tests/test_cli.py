@@ -659,6 +659,23 @@ class TestStats:
         walks = re.search(r"delta frontiers: (\d+) walks", out).group(1)
         assert int(walks) > 0
 
+    def test_explain_plan_prints_each_kernel_account_once(self, protocol_file, capsys):
+        from repro.traces.trie import private_state
+
+        # A cold kernel, as a fresh ``repro`` process has: warm memo
+        # tables would answer the delta walks and leave none to count.
+        with private_state():
+            code = main(
+                ["stats", protocol_file, "--set", "M=0,1", "--depth", "5",
+                 "--no-cache", "--explain-plan"]
+            )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "engine plan:" in out
+        assert len(re.findall(r"^  delta frontiers: [1-9]\d* walks", out, re.M)) == 1
+        assert out.count("delta frontiers:") == 1
+        assert out.count("arena:") == 1
+
     def test_stats_with_spec_checks_and_reports(self, copier_file, capsys):
         code = main(
             [
