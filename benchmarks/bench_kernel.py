@@ -33,7 +33,7 @@ from repro.process.ast import Name
 from repro.sat.checker import SatChecker
 from repro.semantics.config import SemanticsConfig
 from repro.semantics.denotation import Denoter
-from repro.systems import copier, multiplier, protocol
+from repro.systems import copier, multiplier, philosophers, protocol
 from repro.traces import _reference as ref_ops
 from repro.traces import operations as trie_ops
 from repro.traces.stats import reset_stats, snapshot
@@ -601,8 +601,6 @@ def _engine_levels_case(system, depth: int, sample: int = 3) -> dict:
         "naive_chain_levels": naive,
         "delta_chain_levels": chain.redenoted_entries,
         "engine_levels": engine.redenoted_entries,
-        "engine_delta_skipped": engine.delta_skipped,
-        "engine_frontier_skipped": engine.frontier_skipped,
         "reduction": round(naive / engine.redenoted_entries, 2)
         if engine.redenoted_entries
         else float("inf"),
@@ -616,26 +614,28 @@ def _engine_levels_case(system, depth: int, sample: int = 3) -> dict:
 
 
 def _engine_cache_case(depth: int) -> dict:
-    """Cold vs. warm snapshot-cache wall clock for the multiplier fixpoint.
+    """Cold solve vs. warm snapshot load of the multiplier at ``depth``.
 
-    Each run starts from a private (empty) interner, so the warm run's
-    advantage is exactly what the snapshot buys: decoding + re-interning
-    instead of re-denoting the whole system."""
+    Each run starts from a private (empty) interner.  The cold run
+    solves through :meth:`SatChecker.traces_of` and saves the checker's
+    ``traces:`` slot; a warm run opens the snapshot (the decode) and asks
+    ``traces_of`` again, which the slot answers.  The warm advantage is
+    what the snapshot buys: decoding and re-interning instead of
+    solving."""
     import tempfile
 
-    from repro.semantics.engine import DenotationEngine
     from repro.traces.snapshot import SnapshotCache, cache_key
     from repro.traces.trie import private_state
 
     cfg = SemanticsConfig(depth=depth, sample=3)
     defs, env = multiplier.definitions(), multiplier.environment()
+    target = Name("multiplier")
 
     def run(directory) -> float:
         with private_state():
-            cache = SnapshotCache(directory, cache_key(defs, cfg))
             start = time.perf_counter()
-            engine = DenotationEngine(defs, env, cfg, cache=cache)
-            engine.run()
+            cache = SnapshotCache(directory, cache_key(defs, cfg))
+            SatChecker(defs, env, cfg, cache=cache).traces_of(target)
             elapsed = time.perf_counter() - start
             cache.save()
         return elapsed
@@ -657,27 +657,56 @@ def _engine_cache_case(depth: int) -> dict:
     return case
 
 
-def generate_engine(depths=(4, 5, 6)) -> dict:
-    # philosophers was ineligible for the engine before sub-level deltas
-    # (its table references out-of-sample subscripts at sample 2; at
-    # sample 3 the whole domain is covered) — recording it tracks the
-    # first engine numbers for an array-indexed system.
-    from repro.systems import philosophers
+def _cold_engine_solve(system, args: tuple, depth: int, sample: int):
+    """A full engine solve on a fresh arena, as a one-shot ``repro`` run
+    has it."""
+    from repro.semantics.engine import DenotationEngine
+    from repro.traces.trie import private_state
 
+    cfg = SemanticsConfig(depth=depth, sample=sample)
+    defs, env = system.definitions(*args), system.environment()
+
+    def run() -> None:
+        with private_state():
+            DenotationEngine(defs, env, cfg).run()
+
+    return run
+
+
+#: case name → a function that measures it (``_layer_case`` record)
+ENGINE_LAYER_CASES = {
+    "cold engine solve protocol depth=14": lambda name: _layer_case(
+        name, _cold_engine_solve(protocol, (), 14, 2)
+    ),
+    "cold engine solve philosophers(3) depth=6": lambda name: _layer_case(
+        name, _cold_engine_solve(philosophers, (3,), 6, 3)
+    ),
+}
+
+
+def generate_engine(depths=(4, 5, 6)) -> dict:
+    # philosophers: an array-indexed system (at sample 3 the whole
+    # domain is covered).
     level_cases = [
         _engine_levels_case(system, depth)
         for depth in depths
         for system in (multiplier, protocol, philosophers)
     ]
     cache_cases = [_engine_cache_case(depth) for depth in (6, 7)]
+    layer_cases = [measure(name) for name, measure in ENGINE_LAYER_CASES.items()]
     return {
         "description": (
             "Dependency-graph denotation engine vs. monolithic "
             "approximation chain: (entry, level) denotations performed "
-            "(deterministic) and cold-vs-warm snapshot-cache wall clock"
+            "(deterministic); cold solve vs. warm snapshot load through "
+            "SatChecker.traces_of (wall clock); layer_cases: cold engine "
+            "solves on a fresh arena, best of 5, in loops of a fixed "
+            "200000-iteration pure-Python calibration loop timed in the "
+            "same process"
         ),
         "definition_level_cases": level_cases,
         "cache_cases": cache_cases,
+        "layer_cases": layer_cases,
         "max_level_reduction": max(c["reduction"] for c in level_cases),
         "max_cache_speedup": max(c["speedup"] for c in cache_cases),
     }

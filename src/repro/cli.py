@@ -30,7 +30,7 @@ snapshot slots, so a repeated operational query skips the explorer too.
 ``check`` accepts ``--spec`` repeatedly: all assertions are checked
 against one warm solved system, verdicts printed in order, and the exit
 code is the first failing assertion's.  ``stats --explain-plan`` prints
-the engine's SCC schedule and per-level delta/cache account.
+the engine's SCC schedule and each SCC's level count.
 
 Long-running commands accept resource budgets — ``--deadline SECONDS``,
 ``--max-nodes N`` (freshly interned trie nodes), ``--max-states N``
@@ -173,8 +173,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if args.explain_plan:
             from repro.semantics.engine import DenotationEngine
 
-            engine = DenotationEngine(defs, checker.env, checker.config, cache=cache)
-            print(engine.explain())
+            print(DenotationEngine(defs, checker.env, checker.config).explain())
         elif args.spec:
             result = checker.check(target, args.spec)
             verdict = "HOLDS" if result.holds else "VIOLATED"
@@ -479,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain-plan",
         action="store_true",
         help="print the engine's SCC condensation, the topological ranks "
-        "it solves them in, and the per-level delta-skip / cache-hit "
-        "account instead of denoting",
+        "it solves them in, and the levels each SCC's chain ran, instead "
+        "of denoting",
     )
     p.set_defaults(func=cmd_stats)
 

@@ -166,7 +166,7 @@ class Explorer:
         if self._states_touched > self.max_states:
             raise BudgetExceeded("explorer-state", self.max_states)
 
-    def _successors(self, states: StateSet) -> Successors:
+    def successors(self, states: StateSet) -> Successors:
         """e ↦ τ(succ_e(S)) for every visible event ``e`` some member of
         ``states`` offers, sorted by event."""
         known = self._successor_memo.get(states)
@@ -215,7 +215,7 @@ class Explorer:
                         )
                     next_frontier: Dict[StateSet, int] = {}
                     for states, count in frontier.items():
-                        for _event, target in self._successors(states):
+                        for _event, target in self.successors(states):
                             next_frontier[target] = next_frontier.get(target, 0) + count
                     if not next_frontier:
                         break
@@ -294,7 +294,7 @@ class Explorer:
                     scanned = sum(len(traces) for traces in frontier.values())
                     next_frontier: Dict[StateSet, List[Trace]] = {}
                     for states, traces in frontier.items():
-                        for event, target in self._successors(states):
+                        for event, target in self.successors(states):
                             next_frontier.setdefault(target, []).extend(
                                 trace + (event,) for trace in traces
                             )

@@ -369,7 +369,8 @@ def consult_depths(process: Process, depth: int, hide_depth: int) -> Dict[str, i
     unfolded — so the walk does not follow definitions, and a reference
     reached with budget ``d`` reads exactly ``truncate(binding, d)``.
 
-    This is the soundness bar for the sub-level horizon skip: if a
+    This is the soundness bar for the sub-level horizon skip of
+    :class:`~repro.semantics.fixpoint.ApproximationChain`: if a
     binding's two versions satisfy ``delta_depth(old, new) >
     consult_depths(body, …)[name]`` then every truncation the denotation
     reads is pointer-identical under hash-consing, so the re-denotation

@@ -95,13 +95,13 @@ class SatChecker:
     ``"operational"`` (the state-space explorer — preferable for networks
     whose synchronised values are computed, like the multiplier).
 
-    ``cache`` feeds the dependency-graph
-    :class:`~repro.semantics.engine.DenotationEngine` behind the
-    denotational supply: named targets reachable only through chan-free,
-    array-free definitions are denoted against the engine's solved
-    fixpoint bindings (pointer-identical to unfold-on-demand for such
-    targets), and a :class:`~repro.traces.snapshot.SnapshotCache` makes
-    repeated invocations on the same system warm-start.
+    The denotational supply denotes targets against the solved fixpoint
+    bindings of the dependency-graph
+    :class:`~repro.semantics.engine.DenotationEngine` wherever that is
+    exact (:meth:`_fixpoint_bindings`).  ``cache``, a
+    :class:`~repro.traces.snapshot.SnapshotCache`, keeps each named
+    target's closure, whichever engine computed it (:meth:`traces_of`),
+    so a repeated invocation on the same system answers without solving.
     """
 
     def __init__(
@@ -237,22 +237,14 @@ class SatChecker:
         if solve_depth not in self._engine_supply:
             from repro.semantics.engine import DenotationEngine
 
-            if solve_depth == self.config.depth:
-                solve_config = self.config
-                cache = self.cache
-            else:
+            solve_config = self.config
+            if solve_depth != self.config.depth:
                 solve_config = SemanticsConfig(
                     depth=solve_depth,
                     sample=self.config.sample,
                     hide_depth=self.config.hide_depth,
                 )
-                # Engine cache slots are named per entry, not per depth;
-                # a snapshot keyed by the request config must not hold
-                # hide-depth roots.
-                cache = None
-            engine = DenotationEngine(
-                self.definitions, self.env, solve_config, cache=cache
-            )
+            engine = DenotationEngine(self.definitions, self.env, solve_config)
             try:
                 self._engine_supply[solve_depth] = engine.bindings(fallback=True)
             except SemanticsError:

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set
 
-from repro.operational.explorer import Explorer
-from repro.operational.state import State
+from repro.operational.explorer import Explorer, StateSet
 from repro.operational.step import OperationalSemantics, Tau, Transition
 from repro.process.ast import Choice, Process
 from repro.traces.events import Event, Trace
@@ -132,44 +131,43 @@ def failures(
 
     ``alphabet`` defaults to every event observable within the bound; the
     refusal family after each trace is computed from the stable states
-    reachable by τ.  Every result is a set, so the walk reads the
-    explorer's memoised, unordered moves.
+    reachable by τ.  The traces are walked over the explorer's τ-closed
+    state sets (:meth:`~repro.operational.explorer.Explorer.successors`),
+    and each distinct set's refusal family is computed once, however
+    many traces reach it.
     """
     explorer = Explorer(semantics, max_states=max_states)
-    initial = semantics.initial_state(process)
-
-    # Level-by-level frontier of (trace → τ-closed state set), as in the
-    # trace explorer, but retaining the state sets per trace.
-    frontier: Dict[Trace, FrozenSet[State]] = {(): explorer.tau_closure(initial)}
-    per_trace_states: Dict[Trace, Set[State]] = {(): set(frontier[()])}
+    # Level by level, as the explorer walks: each trace reaches one
+    # τ-closed state set, and its extension by ``e`` reaches the set's
+    # successor τ(succ_e(S)).
+    frontier: Dict[Trace, StateSet] = {
+        (): explorer.tau_closure(semantics.initial_state(process))
+    }
+    reached = dict(frontier)
     for _ in range(depth):
-        next_frontier: Dict[Trace, Set[State]] = {}
-        for trace_, states in frontier.items():
-            for state in states:
-                for step in explorer.moves(state):
-                    if step.is_internal:
-                        continue
-                    extended = trace_ + (step.event,)
-                    closure = explorer.tau_closure(step.state)
-                    next_frontier.setdefault(extended, set()).update(closure)
-        if not next_frontier:
+        frontier = {
+            trace_ + (event,): target
+            for trace_, states in frontier.items()
+            for event, target in explorer.successors(states)
+        }
+        if not frontier:
             break
-        frontier = {t: frozenset(s) for t, s in next_frontier.items()}
-        for t, s in frontier.items():
-            per_trace_states.setdefault(t, set()).update(s)
+        reached.update(frontier)
+    distinct = set(reached.values())
 
     # The observable alphabet: everything any reached state can do.
     if alphabet is None:
-        events: Set[Event] = set()
-        for states in per_trace_states.values():
-            for state in states:
-                for step in explorer.moves(state):
-                    if not step.is_internal:
-                        events.add(step.event)  # type: ignore[arg-type]
-        alphabet = frozenset(events)
+        alphabet = frozenset(
+            step.event
+            for states in distinct
+            for state in states
+            for step in explorer.moves(state)
+            if not step.is_internal
+        )
 
-    families: Dict[Trace, RefusalFamily] = {}
-    for trace_, states in per_trace_states.items():
+    # Each distinct set's refusal family, computed once.
+    family_of: Dict[StateSet, RefusalFamily] = {}
+    for states in distinct:
         maximal_sets: Set[FrozenSet[Event]] = set()
         any_stable = False
         for state in states:
@@ -181,11 +179,12 @@ def failures(
                 step.event for step in steps if step.event is not None
             )
             maximal_sets.add(alphabet - initials)
-        families[trace_] = RefusalFamily(
-            maximal=_maximal(maximal_sets) if maximal_sets else frozenset(),
-            diverges=not any_stable,
+        family_of[states] = RefusalFamily(
+            maximal=_maximal(maximal_sets), diverges=not any_stable
         )
-    return Failures(alphabet, families)
+    return Failures(
+        alphabet, {trace_: family_of[states] for trace_, states in reached.items()}
+    )
 
 
 def failures_of(

@@ -297,10 +297,11 @@ class ApproximationChain:
         before: Approximation,
         previous: Approximation,
     ) -> bool:
-        """Sub-level skip test, identical to the engine's: every changed
-        dependency must have grown strictly below the depth ``entry``
-        consults it at, so the re-denotation would read only
-        pointer-identical truncations."""
+        """Sub-level (horizon) skip test: every changed dependency must
+        have grown strictly below the depth ``entry`` consults it at, so
+        the re-denotation would read only pointer-identical truncations.
+        Only the chain skips this way; the engine re-denotes every
+        member of a recursive SCC at every level."""
         from repro.traces.trie import delta_depth
 
         assert self._consult is not None
@@ -437,8 +438,8 @@ def fixpoint_denotation(
     Routed through the dependency-graph
     :class:`~repro.semantics.engine.DenotationEngine`, which reproduces
     this module's monolithic chain exactly (pointer-identical roots —
-    the equivalence suite checks it) while skipping levels that cannot
-    change anything.
+    the equivalence suite checks it) while running each SCC's chain
+    only as long as that SCC needs.
     """
     from repro.semantics.engine import DenotationEngine
 

@@ -72,7 +72,7 @@ class MemoryRootsCache:
     (``fresh`` until exported), and roots a sibling solved arrive
     pre-spliced via :meth:`adopt`.  Presents the same ``get``/``put``/
     ``save`` surface as :class:`~repro.traces.snapshot.SnapshotCache`,
-    so checkers and engines use it unchanged."""
+    so the checker uses it unchanged."""
 
     #: Never checkpoint-only — governed requests bypass sharing entirely.
     checkpoint_only = False

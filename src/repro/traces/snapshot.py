@@ -351,13 +351,6 @@ def cache_key(definitions: Any, config: Any, extra: Any = None) -> str:
 _CHECKPOINT_SLOT = re.compile(r"fix:.+@level\d+\Z")
 
 
-def fix_slot(name: str) -> str:
-    """The ungoverned full-solve slot for ``name`` — the vocabulary the
-    denotation engine persists solved SCC entries under.  Defined here so
-    both semantics draw their slot names from one module."""
-    return f"fix:{name}"
-
-
 def checkpoint_slot(name: str, level: int) -> str:
     """The slot holding ``name``'s closure completed at depth ``level``."""
     return f"fix:{name}@level{level}"
@@ -372,10 +365,11 @@ def is_checkpoint_slot(slot: str) -> bool:
 class SnapshotCache:
     """One snapshot file: named closure slots for one cache key.
 
-    Slots are free-form strings (``fix:name``, ``traces:...:d5``); the
-    engine and sat checker agree on the vocabulary.  ``get`` misses
-    rather than raising; ``save`` silently degrades on unwritable
-    directories.
+    Slots are free-form strings.  The sat checker writes them: an
+    ungoverned run stores each named target's closure under
+    ``traces:{engine}:{name}:d{depth}``, a governed one under the
+    checkpoint slots below.  ``get`` misses rather than raising;
+    ``save`` silently degrades on unwritable directories.
 
     With ``checkpoint_only=True`` (governed runs) the cache serves and
     records **only** checkpoint slots (``fix:{name}@level{k}``): those

@@ -4,9 +4,9 @@ The engine's contract is *exact* reproduction of the monolithic
 :class:`~repro.semantics.fixpoint.ApproximationChain` — pointer-identical
 roots per definition (and per sampled array subscript) — while spending
 strictly fewer definition-level denotations.  These tests check that
-contract on the full systems suite, plus the engine-specific behaviours:
-SCC plans, delta accounting, budget soundness, and loud failure on
-unscheduled bindings.
+contract on the full systems suite at two depths, plus the
+engine-specific behaviours: SCC plans, level accounting, budget
+soundness, and loud failure on unscheduled bindings.
 """
 
 import pytest
@@ -18,11 +18,13 @@ from repro.semantics.config import SemanticsConfig
 from repro.semantics.engine import DenotationEngine
 from repro.semantics.fixpoint import ApproximationChain, fixpoint_denotation
 from repro.systems import buffer, copier, multiplier, philosophers, protocol, register
-from repro.traces.stats import format_stats
 
 # sample=3 covers every subscript the systems suite consults (multiplier's
 # network reaches mult[3]); depth 4 keeps the suite fast.
 CFG = SemanticsConfig(depth=4, sample=3)
+#: Deep enough that uneven SCCs outlive their fastest members (protocol's
+#: sender stabilises before the q entries it feeds).
+DEEP = SemanticsConfig(depth=5, sample=3)
 
 SYSTEMS = [
     pytest.param(copier, id="copier"),
@@ -43,12 +45,20 @@ def _assert_pointer_identical(chain_fix, engine):
             assert engine.closure_for(name).root is value.root
 
 
+#: Every system at depth 4 (ids as before) and at depth 5.
+EQUIVALENCE = [
+    pytest.param(param.values[0], config, id=param.id + suffix)
+    for config, suffix in ((CFG, ""), (DEEP, "-d5"))
+    for param in SYSTEMS
+]
+
+
 class TestChainEquivalence:
-    @pytest.mark.parametrize("system", SYSTEMS)
-    def test_pointer_identical_to_chain(self, system):
+    @pytest.mark.parametrize("system, config", EQUIVALENCE)
+    def test_pointer_identical_to_chain(self, system, config):
         defs, env = system.definitions(), system.environment()
-        chain = ApproximationChain(defs, env, CFG)
-        engine = DenotationEngine(defs, env, CFG)
+        chain = ApproximationChain(defs, env, config)
+        engine = DenotationEngine(defs, env, config)
         _assert_pointer_identical(chain.fixpoint(), engine)
 
     def test_fixpoint_shape_matches_chain(self):
@@ -84,7 +94,7 @@ class TestScheduling:
         engine.run()
         top = next(r for r in engine.reports if r.entries == ("top",))
         assert not top.recursive
-        assert top.redenoted == 1 and top.skipped == 0
+        assert top.redenoted == 1
 
     def test_recursive_scc_runs_local_chain(self):
         defs = parse_definitions("p = a!0 -> p")
@@ -92,7 +102,8 @@ class TestScheduling:
         engine.run()
         (report,) = engine.reports
         assert report.recursive
-        assert len(report.levels) >= 2  # at least one growth + one stable level
+        assert report.levels >= 2  # at least one growth + one stable level
+        assert report.redenoted == report.levels
 
     def test_plan_orders_dependencies_first(self):
         defs = parse_definitions("top = a!0 -> mid; mid = b!0 -> leaf; leaf = c!0 -> leaf")
@@ -101,18 +112,6 @@ class TestScheduling:
         assert names.index("leaf") < names.index("mid") < names.index("top")
         ranks = {scc.entries[0].name: rank for rank, scc in plan}
         assert ranks["leaf"] == 0 and ranks["top"] == 2
-
-    def test_delta_skip_in_uneven_scc(self):
-        # sender stabilises before the q entries it feeds; the engine must
-        # skip its re-denotations while still matching the chain.  Depth 5
-        # gives the q chain enough levels to outlive sender's.
-        deep = SemanticsConfig(depth=5, sample=3)
-        defs, env = protocol.definitions(), protocol.environment()
-        engine = DenotationEngine(defs, env, deep)
-        engine.run()
-        assert engine.delta_skipped > 0
-        chain = ApproximationChain(defs, env, deep)
-        _assert_pointer_identical(chain.fixpoint(), engine)
 
     def test_explain_mentions_plan_and_totals(self):
         defs, env = multiplier.definitions(), multiplier.environment()
@@ -196,49 +195,3 @@ class TestBudgets:
         engine = DenotationEngine(defs, env, CFG)
         engine.run()
         assert engine.reports
-
-
-class TestHorizonSkips:
-    """Sub-level delta skips: entries whose dependencies changed only
-    beyond the consult horizon are served from the previous level."""
-
-    DEEP = SemanticsConfig(depth=5, sample=3)
-
-    @pytest.mark.parametrize(
-        "system", [pytest.param(multiplier, id="multiplier"),
-                   pytest.param(protocol, id="protocol"),
-                   pytest.param(philosophers, id="philosophers")]
-    )
-    def test_horizon_skips_fire_and_preserve_identity(self, system):
-        defs, env = system.definitions(), system.environment()
-        engine = DenotationEngine(defs, env, self.DEEP)
-        engine.run()
-        assert engine.frontier_skipped > 0
-        assert engine.delta_skipped >= engine.frontier_skipped
-        chain = ApproximationChain(defs, env, self.DEEP)
-        _assert_pointer_identical(chain.fixpoint(), engine)
-
-    def test_explain_reports_horizon_detail(self):
-        defs, env = protocol.definitions(), protocol.environment()
-        engine = DenotationEngine(defs, env, self.DEEP)
-        text = engine.explain()
-        assert "beyond the consult horizon" in text
-        assert "sub-level/horizon" in text
-        # The delta walks are reported once, by ``repro stats``'s counters.
-        assert "delta frontiers:" in format_stats()
-
-    def test_reports_account_for_every_entry_each_level(self):
-        defs, env = multiplier.definitions(), multiplier.environment()
-        engine = DenotationEngine(defs, env, self.DEEP)
-        engine.run()
-        for scc in engine.reports:
-            if not scc.recursive:
-                continue
-            entries = len(scc.entries)
-            for level in scc.levels:
-                assert (
-                    len(level.redenoted)
-                    + len(level.skipped)
-                    + len(level.horizon)
-                    == entries
-                )

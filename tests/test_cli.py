@@ -48,6 +48,15 @@ def deadlock_file(tmp_path):
     return str(path)
 
 
+def _plan_lines(out):
+    """The engine plan that ``stats --explain-plan`` prints."""
+    return [
+        line
+        for line in out.splitlines()
+        if line.startswith(("engine plan:", "  rank ", "  totals:"))
+    ]
+
+
 class TestParse:
     def test_pretty_prints(self, copier_file, capsys):
         assert main(["parse", copier_file]) == 0
@@ -567,7 +576,28 @@ class TestEngineFlags:
         assert "snapshot cache:" in cold
         assert main(argv) == 0
         warm = capsys.readouterr().out
-        assert "cache hit" in warm
+        # A warm cache does not change the plan: every SCC is solved.
+        assert _plan_lines(warm) == _plan_lines(cold)
+
+    def test_cached_check_persists_only_the_target_slot(self, tmp_path, capsys):
+        # The engine persists nothing of its own: the checker's traces:
+        # slot is the one slot a cached check leaves and a cold stats
+        # looks up.
+        import json
+
+        path = tmp_path / "philosophers.csp"
+        path.write_text(philosophers.source(3))
+        where = ["--process", "table", "--sample", "3", "--depth", "5"]
+        check_cache = tmp_path / "check"
+        assert main(["check", str(path), *where, "--spec", "eat <= grab",
+                     "--cache-dir", str(check_cache)]) == 0
+        (snapshot,) = check_cache.glob("snapshot-*.json")
+        roots = json.loads(snapshot.read_text())["roots"]
+        assert list(roots) == ["traces:denotational:table:d5"]
+        capsys.readouterr()
+        assert main(["stats", str(path), *where,
+                     "--cache-dir", str(tmp_path / "stats")]) == 0
+        assert "snapshot cache: 0 hits, 1 misses" in capsys.readouterr().out
 
     def test_traces_budget_trip_under_jobs(self, copier_file, capsys):
         code = main(
@@ -648,31 +678,15 @@ class TestStats:
         assert "interner" in out
         assert "memo tables" in out
 
-    def test_forked_children_ship_their_delta_walks(self, protocol_file, capsys):
-        # The horizon skip's delta walks reach the --explain-plan report.
+    def test_explain_plan_prints_each_kernel_account_once(self, protocol_file, capsys):
         code = main(
-            ["stats", protocol_file, "--set", "M=0,1", "--with-cancel",
-             "f", "--depth", "5", "--no-cache", "--explain-plan"]
+            ["stats", protocol_file, "--set", "M=0,1", "--depth", "5",
+             "--no-cache", "--explain-plan"]
         )
         assert code == 0
         out = capsys.readouterr().out
-        walks = re.search(r"delta frontiers: (\d+) walks", out).group(1)
-        assert int(walks) > 0
-
-    def test_explain_plan_prints_each_kernel_account_once(self, protocol_file, capsys):
-        from repro.traces.trie import private_state
-
-        # A cold kernel, as a fresh ``repro`` process has: warm memo
-        # tables would answer the delta walks and leave none to count.
-        with private_state():
-            code = main(
-                ["stats", protocol_file, "--set", "M=0,1", "--depth", "5",
-                 "--no-cache", "--explain-plan"]
-            )
-        assert code == 0
-        out = capsys.readouterr().out
         assert "engine plan:" in out
-        assert len(re.findall(r"^  delta frontiers: [1-9]\d* walks", out, re.M)) == 1
+        assert len(re.findall(r"^  delta frontiers: \d+ walks", out, re.M)) == 1
         assert out.count("delta frontiers:") == 1
         assert out.count("arena:") == 1
 
