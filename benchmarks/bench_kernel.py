@@ -617,11 +617,11 @@ def _engine_cache_case(depth: int) -> dict:
     """Cold solve vs. warm snapshot load of the multiplier at ``depth``.
 
     Each run starts from a private (empty) interner.  The cold run
-    solves through :meth:`SatChecker.traces_of` and saves the checker's
-    ``traces:`` slot; a warm run opens the snapshot (the decode) and asks
-    ``traces_of`` again, which the slot answers.  The warm advantage is
-    what the snapshot buys: decoding and re-interning instead of
-    solving."""
+    solves through :meth:`SatChecker.traces_of` (the checker's memoised
+    ``Denoter``) and saves the checker's ``traces:`` slot; a warm run
+    opens the snapshot (the decode) and asks ``traces_of`` again, which
+    the slot answers.  The warm advantage is what the snapshot buys:
+    decoding and re-interning instead of solving."""
     import tempfile
 
     from repro.traces.snapshot import SnapshotCache, cache_key
@@ -698,8 +698,9 @@ def generate_engine(depths=(4, 5, 6)) -> dict:
         "description": (
             "Dependency-graph denotation engine vs. monolithic "
             "approximation chain: (entry, level) denotations performed "
-            "(deterministic); cold solve vs. warm snapshot load through "
-            "SatChecker.traces_of (wall clock); layer_cases: cold engine "
+            "(deterministic); cold solve through SatChecker.traces_of (the "
+            "checker's Denoter) vs. warm snapshot load (wall clock); "
+            "layer_cases: cold engine "
             "solves on a fresh arena, best of 5, in loops of a fixed "
             "200000-iteration pure-Python calibration loop timed in the "
             "same process"

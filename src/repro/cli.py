@@ -20,17 +20,16 @@ Work with process definition files written in the paper's notation::
 Named message sets are declared with ``--set M=0,1``; the protocol's
 cancellation function is available as ``--with-cancel f``.
 
-``traces``/``check``/``stats`` run on the dependency-graph denotation
-engine, which solves the fixpoint one strongly connected component at
-a time, dependencies first.  Solved closures are snapshotted under
-``~/.cache/repro`` (override with ``--cache-dir``, disable with
-``--no-cache``) so repeated invocations on the same system warm-start.
+``traces``/``check``/``stats`` unfold the definitions on demand, budget
+or not, which computes the §3.3 least fixpoint.  Solved closures are
+snapshotted under ``~/.cache/repro`` (override with ``--cache-dir``,
+disable with ``--no-cache``) so repeated runs on one system warm-start.
 ``--engine operational`` caches its explored closures in the same
 snapshot slots, so a repeated operational query skips the explorer too.
 ``check`` accepts ``--spec`` repeatedly: all assertions are checked
 against one warm solved system, verdicts printed in order, and the exit
 code is the first failing assertion's.  ``stats --explain-plan`` prints
-the engine's SCC schedule and each SCC's level count.
+the dependency-graph engine's SCC schedule and each SCC's level count.
 
 Long-running commands accept resource budgets — ``--deadline SECONDS``,
 ``--max-nodes N`` (freshly interned trie nodes), ``--max-states N``

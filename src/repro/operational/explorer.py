@@ -199,7 +199,7 @@ class Explorer:
         traces = 0  # of length ≤ level
         level = 0
         try:
-            with self.semantics.memoised():
+            with _governor.recursion_guard("explore"), self.semantics.memoised():
                 initial = self.tau_closure(self.semantics.initial_state(term))
                 frontier: Dict[StateSet, int] = {initial: 1}  # set → traces reaching it
                 levels = [frontier]
@@ -275,7 +275,7 @@ class Explorer:
         scanned = 0  # the traces of level ``completed``
         trip: Optional[BudgetExceeded] = None
         try:
-            with self.semantics.memoised():
+            with _governor.recursion_guard("deadlock"), self.semantics.memoised():
                 initial = self.tau_closure(self.semantics.initial_state(term))
                 frontier: Dict[StateSet, List[Trace]] = {initial: [()]}
                 for level in range(depth + 1):

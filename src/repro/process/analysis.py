@@ -13,9 +13,9 @@
 * :func:`concrete_channels`   — concrete :class:`Channel` values used,
   with subscripts evaluated under an environment (needed to run
   ``P ‖ Q`` when the paper "omits" the X, Y annotations);
-* :func:`uses_chan`           — whether a process (following definitions)
-  contains a ``chan`` operator anywhere, the eligibility condition for
-  swapping unfold-on-demand denotation for fixpoint bindings;
+* :func:`uses_chan`           — whether a process contains a ``chan``
+  operator, the condition under which the chain and the engine iterate
+  at ``hide_depth``;
 * the **entry-level dependency graph** — :func:`definition_entries`,
   :func:`entry_dependencies`, :func:`condense_entries`, :func:`scc_ranks`
   — the call structure the §3.3 approximation chain actually iterates
@@ -322,38 +322,27 @@ def _collect_concrete(
         raise TypeError(f"unknown process node {process!r}")
 
 
-def uses_chan(process: Process, definitions: Optional[DefinitionList] = None) -> bool:
-    """True when ``process`` contains a ``chan`` operator, following
-    definitions (recursion-safe).
+def uses_chan(process: Process) -> bool:
+    """True when ``process`` itself contains a ``chan`` operator (names
+    are not followed).
 
     ``chan`` is the one operator whose denotation depth diverges from the
     request depth (``_denote_chan`` deepens to ``config.hide_depth`` before
     hiding), so closures computed *at* depth ``d`` for chan-bearing
-    processes are not truncations of deeper ones.  Callers use this to
-    decide whether a fixpoint binding computed once can stand in for
-    unfold-on-demand denotation.
+    processes are not truncations of deeper ones.  The chain and the
+    engine use this to iterate chan-bearing lists at ``hide_depth``.
     """
     stack: List[Process] = [process]
-    visited: Set[str] = set()
     while stack:
         node = stack.pop()
         if isinstance(node, Chan):
             return True
-        if isinstance(node, Stop):
-            continue
         if isinstance(node, (Output, Input)):
             stack.append(node.continuation)
         elif isinstance(node, (Choice, Parallel)):
             stack.append(node.left)
             stack.append(node.right)
-        elif isinstance(node, (Name, ArrayRef)):
-            if definitions is None or node.name not in definitions:
-                continue
-            if node.name in visited:
-                continue
-            visited.add(node.name)
-            stack.append(definitions.lookup(node.name).body)
-        else:  # pragma: no cover - exhaustiveness guard
+        elif not isinstance(node, (Stop, Name, ArrayRef)):  # pragma: no cover
             raise TypeError(f"unknown process node {node!r}")
     return False
 

@@ -37,7 +37,7 @@ from repro.assertions.ast import Formula
 from repro.assertions.eval import DEFAULT_EVAL_CONFIG, EvalConfig, evaluate_formula
 from repro.assertions.parser import parse_assertion
 from repro.errors import BudgetExceeded, EvaluationError
-from repro.process.analysis import channel_names, uses_chan
+from repro.process.analysis import channel_names
 from repro.process.ast import Name, Process
 from repro.process.definitions import DefinitionList, NO_DEFINITIONS
 from repro.runtime import governor as _governor
@@ -47,10 +47,9 @@ from repro.semantics.config import DEFAULT_CONFIG, SemanticsConfig
 from repro.semantics.denotation import Denoter
 from repro.traces.events import Trace
 from repro.traces.histories import ChannelHistory, ch
-from repro.errors import SemanticsError
 from repro.traces.prefix_closure import FiniteClosure
 from repro.traces.snapshot import SnapshotCache, checkpoint_slot
-from repro.traces.trie import ClosureNode, delta_depth
+from repro.traces.trie import ClosureNode
 from repro.values.domains import Domain
 from repro.values.environment import Environment
 
@@ -82,11 +81,6 @@ class PartialTraces(NamedTuple):
     complete: bool
 
 
-#: Marks a definition list whose fixpoint the engine could not solve —
-#: the checker then stays on pure unfold-on-demand denotation.
-_INELIGIBLE = object()
-
-
 class SatChecker:
     """Checks ``P sat R`` over bounded trace sets.
 
@@ -95,10 +89,10 @@ class SatChecker:
     ``"operational"`` (the state-space explorer — preferable for networks
     whose synchronised values are computed, like the multiplier).
 
-    The denotational supply denotes targets against the solved fixpoint
-    bindings of the dependency-graph
-    :class:`~repro.semantics.engine.DenotationEngine` wherever that is
-    exact (:meth:`_fixpoint_bindings`).  ``cache``, a
+    Each checker builds one supply lazily and keeps it for every query
+    and depth, governed or not: a :class:`~repro.semantics.denotation.Denoter`,
+    whose memoised unfolding is the §3.3 least fixpoint, or an
+    :class:`~repro.operational.explorer.Explorer`.  ``cache``, a
     :class:`~repro.traces.snapshot.SnapshotCache`, keeps each named
     target's closure, whichever engine computed it (:meth:`traces_of`),
     so a repeated invocation on the same system answers without solving.
@@ -123,15 +117,13 @@ class SatChecker:
         self.engine = engine
         self.trie_walk = trie_walk
         self.cache = cache
-        #: solve_depth → engine bindings (or _INELIGIBLE when solving the
-        #: system failed and the checker fell back to pure unfolding).
-        self._engine_supply: Dict[int, object] = {}
         #: checkpoint slots written this run (surfaced in budget
         #: checkpoints so a resumed invocation knows what it can reuse).
         self._checkpoint_slots: List[str] = []
-        #: lazily-built operational supply (one explorer per checker: the
-        #: τ-closure memo holds only completed closures, so sharing it
-        #: across depths and instances is sound).
+        #: lazily-built supplies, one per checker: the Denoter's memo and
+        #: the explorer's τ-closure memo hold only completed results, so
+        #: sharing them across depths and queries is sound.
+        self._denoter: Optional[Denoter] = None
         self._operational: Optional[Any] = None
 
     # -- trace supply ------------------------------------------------------
@@ -172,17 +164,9 @@ class SatChecker:
 
     def _compute_traces(self, process: Process, depth: int) -> FiniteClosure:
         if self.engine == "denotational":
-            bindings = self._fixpoint_bindings(process, depth)
-            if bindings is not None:
-                return Denoter(
-                    self.definitions,
-                    self.env,
-                    self.config,
-                    process_bindings=bindings,
-                ).denote(process, depth)
-            return Denoter(self.definitions, self.env, self.config).denote(
-                process, depth
-            )
+            if self._denoter is None:
+                self._denoter = Denoter(self.definitions, self.env, self.config)
+            return self._denoter.denote(process, depth)
         if self._operational is None:
             from repro.operational.explorer import Explorer
             from repro.operational.step import OperationalSemantics
@@ -194,66 +178,6 @@ class SatChecker:
             )
         return self._operational.visible_traces(process, depth)
 
-    def _fixpoint_bindings(self, process: Process, depth: int) -> Optional[dict]:
-        """Engine-solved bindings, when substituting them for
-        unfold-on-demand is exact for ``process``.
-
-        Eligibility:
-
-        * no ambient governor — governed runs deepen iteratively for
-          sound partial results, and solving the whole fixpoint up
-          front would spend the budget before the first partial
-          verdict;
-        * ``depth ≤ solve_depth`` — bindings solved at ``solve_depth``
-          are truncated down, exact because bounded denotation at depth
-          *d* is the depth-*d* truncation of any deeper one (for
-          chan-bearing definitions this holds only up to ``hide_depth``,
-          where the ``chan`` rule's inner depth saturates — see below);
-        * for targets reaching a ``chan``, the system is solved at
-          ``solve_depth = max(config.depth, hide_depth)`` so bindings
-          capture the saturated hide-depth values, and the request depth
-          must not exceed ``hide_depth`` (with the default
-          ``hide_depth = 2·depth + 2`` it never does);
-        * process arrays are served per sampled subscript with
-          ``fallback=True``: an out-of-sample subscript resolves to
-          ``None`` and the Denoter unfolds it on demand, so sampled
-          fixpoint tables and full-domain unfolding blend exactly;
-        * if *solving* the system itself fails (e.g. a definition body
-          consults an out-of-sample subscript during the fixpoint), the
-          system is marked ineligible and the checker falls back to
-          pure unfold-on-demand.
-        """
-        if _governor.current() is not None:
-            return None
-        if len(self.definitions) == 0:
-            return None
-        solve_depth = self.config.depth
-        if uses_chan(process, self.definitions):
-            if self.config.depth > self.config.hide_depth:
-                return None
-            solve_depth = max(self.config.depth, self.config.hide_depth)
-        if depth > solve_depth:
-            return None
-        if solve_depth not in self._engine_supply:
-            from repro.semantics.engine import DenotationEngine
-
-            solve_config = self.config
-            if solve_depth != self.config.depth:
-                solve_config = SemanticsConfig(
-                    depth=solve_depth,
-                    sample=self.config.sample,
-                    hide_depth=self.config.hide_depth,
-                )
-            engine = DenotationEngine(self.definitions, self.env, solve_config)
-            try:
-                self._engine_supply[solve_depth] = engine.bindings(fallback=True)
-            except SemanticsError:
-                self._engine_supply[solve_depth] = _INELIGIBLE
-        supply = self._engine_supply[solve_depth]
-        if supply is _INELIGIBLE:
-            return None
-        return supply  # type: ignore[return-value]
-
     def _deepening(
         self, process: Process, governor: Governor
     ) -> Iterator[Tuple[int, FiniteClosure]]:
@@ -261,19 +185,17 @@ class SatChecker:
         0, 1, … up to the configured depth, the deadline checked before
         each closure is built.
 
-        It stops at the first closure pointer-identical to the previous
-        one (``delta_depth is None``): a prefix-closed trace set that did
-        not grow from depth−1 to depth holds no longer trace either, so
-        it is the answer at every depth.  A loop over the schedule that
-        ends without a trip has therefore covered the configured depth.
+        It stops at the first closure whose root is the previous one's:
+        a prefix-closed trace set that did not grow from depth−1 to depth
+        holds no longer trace either, so it is the answer at every depth.
+        A loop over the schedule that ends without a trip has therefore
+        covered the configured depth.
         """
         previous: Optional[FiniteClosure] = None
         for depth in range(self.config.depth + 1):
             governor.check_deadline()
             closure = self.traces_of(process, depth)
-            if previous is not None and delta_depth(
-                previous.root, closure.root
-            ) is None:
+            if previous is not None and closure.root is previous.root:
                 return
             yield depth, closure
             previous = closure
@@ -317,14 +239,20 @@ class SatChecker:
         a budget trip can still report "verified to depth k": the raised
         :class:`~repro.errors.BudgetExceeded` carries a checkpoint whose
         ``completed_depth`` is the deepest depth at which *every* trace
-        satisfied the assertion.
+        satisfied the assertion.  Ungoverned, a trip in the trace supply
+        (say, the explorer's state cap) completes no depth of the check.
         """
         formula = self._coerce(assertion, process)
         env = self.env.bind_all(dict(bindings or {}))
         governor = _governor.current()
         if governor is not None:
             return self._check_governed(process, formula, env, bindings, governor)
-        closure = self.traces_of(process)
+        try:
+            closure = self.traces_of(process)
+        except BudgetExceeded as exc:
+            raise exc.with_checkpoint(
+                _governor.trip_checkpoint(exc, "sat", None, 0)
+            ) from None
         if self.trie_walk:
             return self._check_trie(closure, formula, env, bindings)
         return self._check_flat(closure, formula, env, bindings)

@@ -12,12 +12,15 @@ traces, truncated at ``config.depth``:
   alphabets;
 * ``⟦chan L; P⟧ = ⟦P⟧ \\ L`` — with the body explored to
   ``config.hide_depth``;
-* names and array references unfold their defining equations; guardedness
-  (validated by :class:`~repro.process.definitions.DefinitionList`)
-  guarantees the unfolding terminates at the depth bound.  Unfolding
-  computes exactly ``∪ᵢ aᵢ`` restricted to the depth bound — the least
-  fixed point of §3.3 — which the test suite confirms against the explicit
-  :class:`~repro.semantics.fixpoint.ApproximationChain`.
+* names and array references unfold their defining equations.
+  Unfolding computes exactly ``∪ᵢ aᵢ`` restricted to the depth bound —
+  the least fixed point of §3.3 — which the test suite confirms against
+  the explicit :class:`~repro.semantics.fixpoint.ApproximationChain`.
+
+Guardedness (validated by :class:`~repro.process.definitions.DefinitionList`)
+makes each step into a name lower the depth, except through ``chan``,
+whose body restarts at ``hide_depth``: there an unfold can meet its own
+key again, and :meth:`Denoter._unfold` iterates that key to the fixpoint.
 
 Definition bodies are denoted in the *base* environment (plus the array
 parameter, for arrays): equations are closed except for global bindings
@@ -64,13 +67,21 @@ from repro.values.environment import Environment
 #: Operator implementations selectable per Denoter.
 KERNELS = {"trie": _trie_ops, "reference": _reference_ops}
 
+#: An unfold: (name, subscript — ``None`` for a plain name —, depth).
+UnfoldKey = Tuple[str, object, int]
+
+#: ``Denoter._low`` while nothing unfinished was read: above every level.
+_NOTHING_READ = 1 << 62
+
 
 class Denoter:
     """Computes bounded denotations of process expressions.
 
     One instance holds the environment (variables, set names, host
     functions), the definition list, the bounds, and a memo table for
-    unfolded definitions.  Optionally, ``process_bindings`` maps process
+    unfolded definitions, shared by every :meth:`denote` call and depth
+    (a :class:`~repro.sat.checker.SatChecker` keeps one for all its
+    queries).  Optionally, ``process_bindings`` maps process
     names directly to closures (plain processes) or to ``value → closure``
     functions (process arrays); the fixpoint chain uses this to denote a
     body under the *previous* approximation, exactly the paper's
@@ -95,7 +106,19 @@ class Denoter:
         self.process_bindings = process_bindings or {}
         self.kernel = kernel
         self._ops = KERNELS[kernel]
-        self._memo: Dict[Tuple[str, object, int], FiniteClosure] = {}
+        #: Final unfoldings.
+        self._memo: Dict[UnfoldKey, FiniteClosure] = {}
+        #: Keys in progress → their stack level.
+        self._active: Dict[UnfoldKey, int] = {}
+        #: Current approximations of re-entered keys.
+        self._approx: Dict[UnfoldKey, FiniteClosure] = {}
+        #: Results that read an unfinished key → (result, the stack level
+        #: of the key they wait for).
+        self._provisional: Dict[UnfoldKey, Tuple[FiniteClosure, int]] = {}
+        #: Lowest stack level read by the unfold in progress.
+        self._low = _NOTHING_READ
+        #: Approximation changes so far: a pass that adds none settles.
+        self._changes = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -183,17 +206,7 @@ class Denoter:
                     f"process name {process.name!r} bound to a non-closure"
                 )
             return self._ops.truncate(bound, depth)
-        key = (process.name, None, depth)
-        stats = KERNEL_STATS.memo("denote-unfold")
-        if key in self._memo:
-            stats.hits += 1
-            return self._memo[key]
-        stats.misses += 1
-        _faults.maybe_fail("denote.unfold")
-        definition = self.definitions.lookup_process(process.name)
-        result = self._denote(definition.body, self.env, depth)
-        self._memo[key] = result
-        return result
+        return self._unfold((process.name, None, depth))
 
     def _denote_array_ref(self, process: ArrayRef, env: Environment, depth: int) -> FiniteClosure:
         value = process.index.evaluate(env)
@@ -204,39 +217,131 @@ class Denoter:
                     f"process array {process.name!r} bound to a non-function"
                 )
             closure = bound(value)
-            if closure is None:
-                # The binding covers only sampled subscripts and this one
-                # is outside the sample (engine fallback mode): unfold it
-                # on demand.  In-sample references inside the unfolded
-                # body still hit the bindings, so the blend stays exact.
-                return self._unfold_array(process.name, value, depth)
             if not isinstance(closure, FiniteClosure):
                 raise SemanticsError(
                     f"array binding for {process.name!r} returned a non-closure"
                 )
             return self._ops.truncate(closure, depth)
-        return self._unfold_array(process.name, value, depth)
-
-    def _unfold_array(self, name: str, value: object, depth: int) -> FiniteClosure:
-        definition = self.definitions.lookup_array(name)
-        domain = definition.domain.evaluate(self.env)
+        domain = self.definitions.lookup_array(process.name).domain.evaluate(self.env)
         if value not in domain:
             raise SemanticsError(
-                f"subscript {value!r} of {name!r} outside its domain "
+                f"subscript {value!r} of {process.name!r} outside its domain "
                 f"{domain!r}"
             )
-        key = (name, value, depth)
+        return self._unfold((process.name, value, depth))
+
+    # -- unfolding ------------------------------------------------------------
+
+    def _unfold(self, key: UnfoldKey) -> FiniteClosure:
+        """``⟦name⟧`` or ``⟦name[subscript]⟧`` at the key's depth, memoised.
+
+        A miss marks the key in progress with its stack level.  A key met
+        again in progress reads its current approximation, ⟦STOP⟧ at
+        first, and lowers :attr:`_low` to its level; so does a held
+        result.  A body that read nothing unfinished is final; one that
+        did is settled by :meth:`_close`.  Keys are finitely many (no
+        depth exceeds ``max(depth, hide_depth)``) and none is entered
+        twice on one stack, so the recursion is bounded."""
         stats = KERNEL_STATS.memo("denote-unfold")
-        if key in self._memo:
+        result = self._memo.get(key)
+        if result is not None:
             stats.hits += 1
-            return self._memo[key]
+            return result
+        active = self._active
+        level = active.get(key)
+        if level is None and self._provisional:
+            held = self._provisional.get(key)
+            if held is not None:
+                result, level = held
+        if level is not None:
+            if level < self._low:
+                self._low = level
+            if result is None:
+                result = self._approx.setdefault(key, STOP_CLOSURE)
+            return result
         stats.misses += 1
         _faults.maybe_fail("denote.unfold")
-        result = self._denote(
-            definition.body, self.env.bind(definition.parameter, value), depth
-        )
+        name, subscript, depth = key
+        if subscript is None:
+            body, env = self.definitions.lookup_process(name).body, self.env
+        else:
+            definition = self.definitions.lookup_array(name)
+            body = definition.body
+            env = self.env.bind(definition.parameter, subscript)
+        level = active[key] = len(active)
+        outer_low, start = self._low, self._changes
+        self._low = _NOTHING_READ
+        try:
+            result = self._denote(body, env, depth)
+            low = self._low
+            if low <= level:
+                result, low = self._close(key, level, body, env, depth, result, start)
+        finally:
+            del active[key]
+            if not active:  # all settled, or a trip left held results
+                self._approx.clear()
+                self._provisional.clear()
+        if low < level:
+            self._low = min(low, outer_low)
+            return result
+        self._low = outer_low
         self._memo[key] = result
         return result
+
+    def _close(
+        self,
+        key: UnfoldKey,
+        level: int,
+        body: Process,
+        env: Environment,
+        depth: int,
+        result: FiniteClosure,
+        start: int,
+    ) -> Tuple[FiniteClosure, int]:
+        """Settle a key whose body read an unfinished key, the lowest at
+        stack level :attr:`_low`; returns the result and the level it
+        still waits for (:data:`_NOTHING_READ` once final).  ``start``
+        is :attr:`_changes` when the key's first pass began.
+
+        * Below ``level``: the result waits for an outer key.  It is held
+          with that level, as is everything held for this key, and
+          becomes the key's approximation (a change if it grew).
+        * At ``level``: the key read itself.  Its body is denoted again
+          against the result until a whole pass changes no
+          approximation; then everything held for it is final.
+
+        Approximations start at ⟦STOP⟧ and are results of the equations
+        on smaller ones, so they stay below the least fixpoint; a pass
+        that changes none is a solution below it, hence the chain's
+        value."""
+        held = self._provisional
+        changes = start
+        while True:
+            low = self._low
+            inside = [k for k, (_, tie) in held.items() if tie == level]
+            if low < level:
+                if self._approx.get(key, result).root is not result.root:
+                    self._changes += 1
+                self._approx[key] = result
+                for inner in inside:
+                    held[inner] = (held[inner][0], low)
+                held[key] = (result, low)
+                return result, low
+            if low > level or (
+                self._approx[key].root is result.root and self._changes == changes
+            ):
+                for inner in inside:
+                    self._memo[inner] = held.pop(inner)[0]
+                    self._approx.pop(inner, None)
+                self._approx.pop(key, None)
+                self._changes = start  # the churn of this key's passes
+                return result, _NOTHING_READ
+            self._approx[key] = result
+            for inner in inside:
+                del held[inner]
+            changes = self._changes
+            self._low = _NOTHING_READ
+            result = self._denote(body, env, depth)
 
 
 def denote(

@@ -26,6 +26,11 @@ members need.  It skips no member within a level: the delta walks such
 a skip needs cost more than the denotations it spares (EXPERIMENTS.md,
 "Why the engine's skips went"), so only the chain, the test oracle,
 keeps its delta and horizon skips.
+
+No query builds an engine (queries unfold through their checker's
+:class:`~repro.semantics.denotation.Denoter`; EXPERIMENTS.md, "Why the
+checker stopped using the engine"): it serves ``stats --explain-plan``,
+:func:`~repro.semantics.fixpoint.fixpoint_denotation` and E7.
 """
 
 from __future__ import annotations
@@ -234,28 +239,12 @@ class DenotationEngine:
             return denoter._denote(definition.body, body_env, self.solve_depth)
         return denoter._denote(definition.body, self.env, self.solve_depth)
 
-    def _bindings(
-        self,
-        local: Dict[EntryKey, FiniteClosure],
-        fallback: bool = False,
-        resolved: Optional[Dict[EntryKey, FiniteClosure]] = None,
-    ) -> Dict[str, object]:
+    def _bindings(self, local: Dict[EntryKey, FiniteClosure]) -> Dict[str, object]:
         """Process bindings for one denotation pass: solved entries, the
-        current SCC's local level, and loud poisons for everything the
-        plan says is unreachable from here.
-
-        ``resolved`` overrides ``self._resolved`` as the solved-entry
-        source — :meth:`bindings` passes the solved closures truncated
-        to ``config.depth`` when ``chan`` forced a deeper solve.
-
-        With ``fallback=True`` (served bindings for a
-        :class:`~repro.sat.checker.SatChecker`, never during solving) an
-        out-of-sample array subscript returns ``None`` instead of
-        raising, telling the Denoter to unfold that reference on demand.
+        current SCC's local level (which overrides them), and loud
+        poisons for everything the plan says is unreachable from here.
         """
-        available: Dict[EntryKey, FiniteClosure] = dict(
-            self._resolved if resolved is None else resolved
-        )
+        available: Dict[EntryKey, FiniteClosure] = dict(self._resolved)
         available.update(local)
         bindings: Dict[str, object] = {}
         for definition in self.definitions:
@@ -266,7 +255,7 @@ class DenotationEngine:
                     for entry, closure in available.items()
                     if entry.name == name
                 }
-                bindings[name] = self._array_lookup(name, table, fallback)
+                bindings[name] = self._array_lookup(name, table)
             else:
                 entry = EntryKey(name)
                 if entry in available:
@@ -275,9 +264,7 @@ class DenotationEngine:
                     bindings[name] = _Poison(name)
         return bindings
 
-    def _array_lookup(
-        self, name: str, table: Dict[object, FiniteClosure], fallback: bool = False
-    ):
+    def _array_lookup(self, name: str, table: Dict[object, FiniteClosure]):
         sampled = self._sampled.get(name, ())
 
         def lookup(v):
@@ -292,9 +279,6 @@ class DenotationEngine:
                         f"array {name!r} subscript {v!r} consulted before "
                         f"its SCC was scheduled — dependency analysis bug"
                     ) from None
-                if fallback:
-                    # Out-of-sample: let the Denoter unfold on demand.
-                    return None
                 raise SemanticsError(
                     f"array {name!r} approximated only for subscripts "
                     f"{sorted(map(repr, sampled))}; {v!r} requested — "
@@ -357,20 +341,14 @@ class DenotationEngine:
             raise SemanticsError(f"{name!r} is not a process array")
         return self._export_closure(self._resolved[EntryKey(name)])
 
-    def bindings(self, fallback: bool = False) -> Dict[str, object]:
+    def bindings(self) -> Dict[str, object]:
         """The solved system as Denoter ``process_bindings`` (plain names
-        → closures, arrays → sampled-subscript lookups).  With
-        ``fallback=True``, out-of-sample array subscripts resolve to
-        ``None`` so the Denoter unfolds them on demand instead of
-        erroring — the per-subscript eligibility mode of the checker."""
+        → closures, arrays → sampled-subscript lookups that refuse an
+        out-of-sample subscript, as the chain does)."""
         self.run()
-        if self.solve_depth == self.config.depth:
-            return self._bindings({}, fallback=fallback)
-        resolved = {
-            entry: self._export_closure(closure)
-            for entry, closure in self._resolved.items()
-        }
-        return self._bindings({}, fallback=fallback, resolved=resolved)
+        return self._bindings(
+            {entry: self._export_closure(c) for entry, c in self._resolved.items()}
+        )
 
     def levels_computed(self) -> int:
         """Longest local chain among recursive SCCs (+1 for the bottom) —

@@ -124,8 +124,8 @@ class ApproximationChain:
         #: than ``d`` in a referenced component).  Iterating at
         #: ``hide_depth`` and truncating the exported fixpoint restores
         #: agreement with unfold-on-demand: truncation commutes with the
-        #: solve, and the level bound keeps recursion-through-chan
-        #: terminating where pure unfolding would diverge.
+        #: solve.  Recursion through ``chan`` terminates by the level
+        #: bound here, and by re-entry in the Denoter.
         self.solve_depth = config.depth
         if config.hide_depth > config.depth and any(
             uses_chan(d.body) for d in definitions

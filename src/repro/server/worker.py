@@ -11,7 +11,7 @@ A query is answered by :mod:`repro.query`, the path ``repro check`` and
 and keeps the warm state.  Warmth is the whole point of serving: the
 process-global arena kernel accumulates interned nodes across requests,
 and per-system :class:`~repro.sat.checker.SatChecker` instances (with
-their solved engine bindings and snapshot caches) are kept in a small
+their memoised Denoter or explorer and snapshot caches) are kept in a small
 LRU keyed by :func:`repro.server.protocol.situation`, so the hundredth
 ``P sat R`` query against one solved system pays only the sat walk.
 
@@ -125,7 +125,7 @@ class MemoryRootsCache:
 def _checker_for(defs: Any, request: Dict[str, Any], governed: bool):
     """A :class:`SatChecker` for this request — reused across requests
     when ungoverned (governed runs need fresh checkpoint-only caches and
-    must not inherit warm full-depth engine bindings)."""
+    a supply whose memo lives in their own private arena)."""
     if governed:
         return query.open_checker(defs, request, governed)
     key = protocol.situation(request)

@@ -861,8 +861,7 @@ def delta_depth(
     called on, that means the roots are identical).  ``truncate(new, d)
     is truncate(old, d)`` for every ``d < delta_depth(old, new)`` — the
     equality :class:`~repro.semantics.fixpoint.ApproximationChain`'s
-    horizon skip relies on; the governed deepening uses ``None`` to stop
-    at the first depth that added no trace.  Returns ``0`` when the
+    horizon skip relies on.  Returns ``0`` when the
     pair walk exceeds ``cap``: a conservative "changed everywhere" that
     forces callers back to full re-denotation.  Memoised per (old, new)
     id pair in the kernel state.

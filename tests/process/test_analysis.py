@@ -159,16 +159,12 @@ class TestUsesChan:
     def test_chan_free(self):
         assert not uses_chan(parse_process("a!0 -> (b!1 -> STOP | c?x:NAT -> STOP)"))
 
-    def test_follows_definitions(self):
-        defs = parse_definitions(
-            "net = chan wire; STOP; top = a!0 -> net"
-        )
-        assert uses_chan(Name("top"), defs)
-        assert not uses_chan(Name("top"))  # without defs the name is opaque
+    def test_nested_chan(self):
+        assert uses_chan(parse_process("a!0 -> (STOP | b?x:NAT -> chan w; STOP)"))
 
-    def test_recursion_safe(self):
-        defs = parse_definitions("p = a!0 -> q; q = b!0 -> p")
-        assert not uses_chan(Name("p"), defs)
+    def test_names_are_not_followed(self):
+        # The chain and the engine ask about each definition's own body.
+        assert not uses_chan(parse_process("a!0 -> net"))
 
 
 def _graph(source, sample=2, env=None):

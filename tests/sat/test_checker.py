@@ -186,7 +186,9 @@ class TestTrieWalk:
 
 
 class TestEngineEligibility:
-    """Arrays and chan targets are served from engine bindings, exactly."""
+    """The systems the checker once served from engine bindings: arrays
+    and chan targets unfold through the checker's one Denoter, with the
+    roots of a fresh unfold and, where it solves, of the §3.3 chain."""
 
     def _pure_unfold(self, defs, env, cfg, process, depth):
         from repro.semantics.denotation import Denoter
@@ -195,11 +197,17 @@ class TestEngineEligibility:
             process, depth
         )
 
-    def test_array_out_of_sample_falls_back_to_unfold(self):
-        # The system solves fine at sample 2, but the target consults
-        # arr[7]: the binding covers only sampled subscripts, so the
-        # Denoter unfolds arr[7] on demand — and the blend must be
-        # pointer-identical to pure unfold-on-demand.
+    def _chain(self, defs, env, cfg):
+        from repro.semantics.fixpoint import ApproximationChain
+
+        return ApproximationChain(defs, env, cfg)
+
+    def test_array_out_of_sample_subscript_unfolds(self):
+        # The target consults arr[7], outside the sample of 2: it unfolds
+        # on demand, and matches the chain run over the whole domain.
+        from repro.traces.events import event
+        from repro.traces.operations import prefix
+
         cfg = SemanticsConfig(depth=5, sample=2)
         defs = parse_definitions("arr[i:{0..9}] = tick[i]!0 -> arr[i]")
         target = parse_process("go!0 -> arr[7]")
@@ -207,15 +215,14 @@ class TestEngineEligibility:
         got = checker.traces_of(target)
         want = self._pure_unfold(defs, None, cfg, target, cfg.depth)
         assert got.root is want.root
-        # The engine supply was actually used (not marked ineligible).
-        from repro.sat.checker import _INELIGIBLE
+        whole = self._chain(defs, None, SemanticsConfig(depth=4, sample=10))
+        assert got.root is prefix(event("go", 0), whole.closure_for("arr", 7)).root
 
-        assert checker._engine_supply[cfg.depth] is not _INELIGIBLE
-
-    def test_unsolvable_system_degrades_to_pure_unfold(self):
+    def test_system_the_chain_cannot_solve_unfolds(self):
         # philosophers at sample 2 references phil[2]/fork[2] *inside the
-        # fixpoint itself*: solving fails, the checker marks the system
-        # ineligible, and answers still match pure unfolding.
+        # fixpoint itself*: the sampled chain refuses it, and the checker
+        # unfolds exactly what it reaches.
+        from repro.errors import SemanticsError
         from repro.systems import philosophers
 
         cfg = SemanticsConfig(depth=4, sample=2)
@@ -224,11 +231,10 @@ class TestEngineEligibility:
         got = checker.traces_of(Name("table"))
         want = self._pure_unfold(defs, env, cfg, Name("table"), cfg.depth)
         assert got.root is want.root
-        from repro.sat.checker import _INELIGIBLE
+        with pytest.raises(SemanticsError):
+            self._chain(defs, env, cfg).fixpoint()
 
-        assert checker._engine_supply[cfg.depth] is _INELIGIBLE
-
-    def test_in_sample_array_system_served_from_engine(self):
+    def test_in_sample_array_system_matches_chain(self):
         from repro.systems import philosophers
 
         cfg = SemanticsConfig(depth=4, sample=3)
@@ -237,14 +243,11 @@ class TestEngineEligibility:
         got = checker.traces_of(Name("table"))
         want = self._pure_unfold(defs, env, cfg, Name("table"), cfg.depth)
         assert got.root is want.root
-        from repro.sat.checker import _INELIGIBLE
-
-        assert checker._engine_supply[cfg.depth] is not _INELIGIBLE
+        assert got.root is self._chain(defs, env, cfg).closure_for("table").root
 
     def test_chan_target_solved_at_hide_depth(self):
-        # protocolnet hides wire: the system is solved once at hide_depth
-        # and the request-depth answer is exact (chan's inner depth
-        # saturates at hide_depth).
+        # protocolnet hides wire: its body is denoted at hide_depth and
+        # truncated to the request depth, as the chain solves it.
         cfg = SemanticsConfig(depth=5, sample=2)
         checker = SatChecker(COPIER_DEFS, config=cfg)
         got = checker.traces_of(Name("protocolnet"))
@@ -252,11 +255,12 @@ class TestEngineEligibility:
             COPIER_DEFS, None, cfg, Name("protocolnet"), cfg.depth
         )
         assert got.root is want.root
-        assert cfg.hide_depth in checker._engine_supply
+        chain = self._chain(COPIER_DEFS, None, cfg)
+        assert got.root is chain.closure_for("protocolnet").root
 
-    def test_chan_eligibility_respects_shallow_hide_depth(self):
-        # An explicit hide_depth below the request depth makes truncation
-        # inexact for chan bodies: the checker must refuse the bindings.
+    def test_chan_target_respects_shallow_hide_depth(self):
+        # An explicit hide_depth below the request depth: the chan body
+        # is denoted at the request depth, on both sides.
         cfg = SemanticsConfig(depth=5, sample=2, hide_depth=3)
         checker = SatChecker(COPIER_DEFS, config=cfg)
         got = checker.traces_of(Name("protocolnet"))
@@ -264,7 +268,8 @@ class TestEngineEligibility:
             COPIER_DEFS, None, cfg, Name("protocolnet"), cfg.depth
         )
         assert got.root is want.root
-        assert checker._engine_supply == {}
+        chain = self._chain(COPIER_DEFS, None, cfg)
+        assert got.root is chain.closure_for("protocolnet").root
 
 
 class TestGovernedCheckpointResume:

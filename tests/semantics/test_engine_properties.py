@@ -108,29 +108,21 @@ def test_engine_agrees_with_reference_kernel_oracle(source):
     for (name, subscript), closure in oracle.items():
         assert engine.closure_for(name, subscript) == closure
 
+
 @settings(max_examples=25, deadline=None)
 @given(definition_sources())
 def test_checker_supply_matches_unfold_and_reference_oracle(source):
-    """The sat checker's engine-backed trace supply is exact: pointer-
-    identical to the monolithic chain (and to pure unfold-on-demand
-    wherever unfolding terminates) and value-equal to the flat-set
-    reference chain — arrays and chan targets included."""
-    from repro.errors import BudgetExceeded
-
+    """The sat checker's trace supply is exact: pointer-identical to a
+    fresh unfold-on-demand Denoter and to the monolithic chain, and
+    value-equal to the flat-set reference chain — arrays and chan
+    targets included, recursion through a chan too."""
     defs = parse_definitions(source)
     checker = SatChecker(defs, config=CFG)
     target = Name("p0")
     got = checker.traces_of(target)
     chain_fix = ApproximationChain(defs, config=CFG).fixpoint()
     assert got.root is chain_fix["p0"].root
-    try:
-        want = Denoter(defs, Environment(), CFG).denote(target, CFG.depth)
-    except BudgetExceeded:
-        # Pure unfolding can diverge when recursion re-enters a chan (the
-        # hide rule resets the depth); the level-bounded chain above is
-        # the oracle for those systems.
-        pass
-    else:
-        assert got.root is want.root
+    want = Denoter(defs, Environment(), CFG).denote(target, CFG.depth)
+    assert got.root is want.root
     oracle = ApproximationChain(defs, config=CFG, kernel="reference").fixpoint()
     assert got == oracle["p0"]

@@ -20,6 +20,9 @@ receiver = wire?z:M -> (wire!ACK -> output!z -> receiver | wire!NACK -> receiver
 protocol = chan wire; (sender || receiver)
 """
 
+#: p0 recurses through the channel it hides.
+HIDDEN_RECURSION = "p0 = chan b; b?x:{0,1} -> p0; p1 = b!0 -> p1; sys = p0 || p1\n"
+
 DEADLOCKER = """
 p = w!1 -> out!1 -> STOP;
 q = w?x:{2..3} -> STOP;
@@ -399,6 +402,43 @@ class TestBudgetsAndExitCodes:
         ]
         assert "partial result: deadlock: no depth completed" in captured.err
         assert "verified to depth" not in captured.err
+
+    @pytest.mark.parametrize("op", ["traces", "check", "deadlocks"])
+    def test_explorer_overflow_is_a_recursion_budget_trip(
+        self, op, tmp_path, capsys
+    ):
+        # p0 recurses through its own hidden channel: every τ-step nests
+        # the configuration deeper, until the recursion limit stops it.
+        path = tmp_path / "hidden.csp"
+        path.write_text(HIDDEN_RECURSION)
+        argv = [op, str(path), "--process", "sys", "--depth", "1"]
+        if op != "deadlocks":
+            argv += ["--engine", "operational", "--no-cache"]
+        if op == "check":
+            argv += ["--spec", "#b >= 1"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "budget exhausted: recursion-depth" in err
+        assert "Traceback" not in err
+
+    def test_ungoverned_supply_trip_completes_no_sat_depth(
+        self, tmp_path, capsys
+    ):
+        # ⟨⟩ violates the spec, but the explorer trips before the check
+        # judges a single trace: the trip claims no depth of the check.
+        path = tmp_path / "hidden.csp"
+        path.write_text(HIDDEN_RECURSION)
+        argv = [
+            "check", str(path), "--process", "sys", "--depth", "1",
+            "--engine", "operational", "--no-cache", "--spec", "#b >= 1",
+        ]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "PARTIAL: sys sat #b >= 1 — no counterexample found\n"
+        )
+        assert "partial result: sat: no depth completed" in captured.err
+        assert "explore:" not in captured.err
 
     def test_deadlocks_reports_states_touched(self, deadlock_file, capsys):
         code = main(["deadlocks", deadlock_file, "--process", "net", "--depth", "2"])

@@ -1,8 +1,8 @@
 """Unit tests for the sub-level delta primitive of the trie kernel.
 
-``delta_depth`` is the approximation chain's horizon oracle (and the
-governed deepening's stop test): the shallowest depth at which one chain
-level grew over its predecessor.  It exploits
+``delta_depth`` is the approximation chain's horizon oracle: the
+shallowest depth at which one chain level grew over its predecessor.
+It exploits
 hash-consing — pointer-identical subtrees are pruned without descent —
 so the tests below exercise sharing explicitly.
 """
