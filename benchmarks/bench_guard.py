@@ -1,11 +1,13 @@
 """Regression guard for the kernel's and engine's recorded wins.
 
 Re-measures the denotation cases from ``BENCH_kernel.json`` whose
-recorded baseline is slow enough to time reliably (≥ 40 ms) and fails
-if the measured trie-vs-reference *speedup ratio* falls below
-``TOLERANCE`` of the recorded one.  Comparing ratios rather than raw
-wall-clock makes the guard robust to machine speed: both kernels run on
-the same box, so a uniformly slower host cancels out.
+recorded baseline is slow enough to time reliably (≥ 40 ms), and its
+``sat multiplier`` cases (the quotiented walk against the flat
+per-trace loop), and fails if the measured trie-vs-reference *speedup
+ratio* falls below ``TOLERANCE`` of the recorded one.  Comparing
+ratios rather than raw wall-clock makes the guard robust to machine
+speed: both kernels run on the same box, so a uniformly slower host
+cancels out.
 
 Also holds ``BENCH_kernel.json``'s layer cases — the protocol depth-14
 sat walk — under absolute ``LAYER_CEILINGS``, in units of a pure-Python
@@ -44,6 +46,7 @@ from benchmarks.bench_kernel import (
     _engine_cache_case,
     _engine_levels_case,
     _node_build_case,
+    _sat_multiplier,
     _snapshot_case,
     _time,
     walk_layer_case,
@@ -137,11 +140,13 @@ EXPLORER_LAYER_CEILINGS = {
 #: Absolute ceilings on single layers, in calibration loops (best-of-5
 #: wall clock of the layer over that of ``bench_kernel``'s fixed
 #: 200 000-iteration pure-Python loop, timed just before it).  Set at
-#: about 3× the highest value measured: the quotiented walk read
-#: 0.42–0.85 loops on a 2-vCPU host, where walking trace by trace took
-#: 27–31.  The guard catches a return to path walking, not drift.
+#: about 3× the highest value measured: judging each pair through the
+#: compiled formula, the quotiented walk read 0.43–0.80 loops in
+#: eighteen runs on a 2-vCPU host (all but one under 0.64), where the
+#: interpreter read 0.64–0.82 and walking trace by trace took 27–31.
+#: The guard catches a return to path walking, not drift.
 LAYER_CEILINGS = {
-    "sat walk protocol depth=14 output <= input": (walk_layer_case, 2.5),
+    "sat walk protocol depth=14 output <= input": (walk_layer_case, 2.4),
 }
 
 #: Recorded baselines below this are too fast to re-time stably.
@@ -153,23 +158,37 @@ MAX_DEPTH = 6
 SYSTEMS = {"copier": (copier, "network"), "protocol": (protocol, "protocol")}
 
 _CASE = re.compile(r"denote (\w+)\.(\w+) depth=(\d+)")
+_SAT_CASE = re.compile(r"sat multiplier scalar-product depth=(\d+)")
+
+
+def _sat_side(depth: int, kernel: str):
+    return _sat_multiplier(depth, trie_walk=kernel == "trie")
 
 
 def guarded_cases(report: dict):
+    """The recorded ratio cases to re-measure, each with ``run(kernel)``,
+    which runs its ``"reference"`` or its ``"trie"`` side."""
     for case in report["cases"]:
         match = _CASE.fullmatch(case["case"])
-        if not match:
+        if match:
+            (system, proc), depth = SYSTEMS[match.group(1)], int(match.group(3))
+            if case["baseline_s"] >= MIN_BASELINE_S and depth <= MAX_DEPTH:
+                yield case, partial(_denote, system, proc, depth)
             continue
-        system, _proc, depth = match.group(1), match.group(2), int(match.group(3))
-        if case["baseline_s"] >= MIN_BASELINE_S and depth <= MAX_DEPTH:
-            yield case, SYSTEMS[system], depth
+        match = _SAT_CASE.fullmatch(case["case"])
+        if match:
+            yield case, partial(_sat_side, int(match.group(1)))
 
 
-def measure(system, proc: str, depth: int) -> float:
-    # best-of-5 (vs the recording's best-of-3): the trie side is a few
-    # milliseconds, so extra reps cheaply damp the measured-side noise
-    baseline_s = _time(lambda: _denote(system, proc, depth, "reference"))
-    trie_s = _time(lambda: _denote(system, proc, depth, "trie"), repeat=5)
+def measure(run) -> float:
+    # best-of-5 a side (vs the recording's best-of-3), the sides taking
+    # turns rep by rep: a shared host slows down in phases of a second or
+    # so, and one that covered a whole side's reps moved the ratio by
+    # more than the tolerance.  Taking turns exposes both to it.
+    baseline_s = trie_s = float("inf")
+    for _ in range(5):
+        baseline_s = min(baseline_s, _time(lambda: run("reference"), repeat=1))
+        trie_s = min(trie_s, _time(lambda: run("trie"), repeat=1))
     return baseline_s / trie_s if trie_s else float("inf")
 
 
@@ -348,10 +367,10 @@ def check_explorer() -> list:
 def main() -> None:
     report = json.loads(RESULT_PATH.read_text())
     failures = []
-    for case, (system, proc), depth in guarded_cases(report):
+    for case, run in guarded_cases(report):
         recorded = case["speedup"]
         floor = TOLERANCE * min(recorded, RATIO_CAP)
-        measured = measure(system, proc, depth)
+        measured = measure(run)
         ok = measured >= floor
         print(
             f"{'ok' if ok else 'FAIL':<4} {case['case']:<42} "

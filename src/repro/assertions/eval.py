@@ -10,11 +10,19 @@ out of range.  Quantifiers over infinite sets enumerate a bounded sample
 (``config.quant_bound``); this is the bounded-model-checking reading —
 complete for refutation on the enumerated values, and irrelevant to the
 proof system, which treats quantifiers symbolically.
+
+``compile_formula(R)`` turns ``R`` into a closure ``judge(env, history)``
+in one pass over its syntax tree, for callers that judge one formula
+under many histories (the sat walk).  The judge makes the interpreter's
+calls in the interpreter's order, so it returns what
+:func:`evaluate_formula` returns and raises what it raises, with the same
+text; the interpreter stays the oracle it is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import operator
+from typing import Any, Callable
 
 from repro.assertions.ast import (
     Apply,
@@ -42,7 +50,8 @@ from repro.assertions.ast import (
 from repro.assertions.sequences import is_seq_prefix, is_strict_seq_prefix, seq_index
 from repro.errors import EvaluationError
 from repro.traces.histories import ChannelHistory
-from repro.values.environment import Environment
+from repro.values.environment import EMPTY, Environment
+from repro.values.expressions import Const
 
 
 class EvalConfig:
@@ -214,7 +223,11 @@ def _compare(formula: Compare, env, history, config) -> bool:
         if op == ">=":
             return left >= right
         return left > right
-    raise EvaluationError(
+    raise _incomparable(left, op, right)
+
+
+def _incomparable(left: Any, op: str, right: Any) -> EvaluationError:
+    return EvaluationError(
         f"cannot compare {left!r} {op} {right!r}: operands must be two "
         f"sequences or two numbers"
     )
@@ -232,3 +245,231 @@ def _require_seq(value: Any, op: str) -> None:
 def _require_int(value: Any, op: str) -> None:
     if not _is_int(value):
         raise EvaluationError(f"{op} applied to non-number {value!r}")
+
+
+# ---------------------------------------------------------------------------
+# Compiled judges
+# ---------------------------------------------------------------------------
+
+#: A compiled term or formula: ``(env, history) → value``.
+Compiled = Callable[[Environment, ChannelHistory], Any]
+
+#: The prefix test and the numeric test of each order comparison.
+_ORDERS = {
+    "<=": (is_seq_prefix, operator.le),
+    "<": (is_strict_seq_prefix, operator.lt),
+    ">=": (lambda left, right: is_seq_prefix(right, left), operator.ge),
+    ">": (lambda left, right: is_strict_seq_prefix(right, left), operator.gt),
+}
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def compile_formula(
+    formula: Formula, config: EvalConfig = DEFAULT_EVAL_CONFIG
+) -> Compiled:
+    """``formula`` as a closure ``judge(env, history)`` that returns what
+    ``evaluate_formula(formula, env, history, config)`` returns, or
+    raises what it raises, with the same text.
+
+    The syntax tree is dispatched over once, here, instead of at every
+    evaluation.  Compiling evaluates nothing that can fail: only closed
+    channel references (``wire``, ``col[2]``) are resolved up front, and
+    an unbound name, an out-of-range index or a type error surfaces when
+    the judge runs, on the history where the interpreter would fail.
+    """
+    if isinstance(formula, BoolLit):
+        value = formula.value
+        return lambda env, history: value
+    if isinstance(formula, Compare):
+        return _compile_compare(formula, config)
+    if isinstance(formula, LogicalAnd):
+        left = compile_formula(formula.left, config)
+        right = compile_formula(formula.right, config)
+        return lambda env, history: left(env, history) and right(env, history)
+    if isinstance(formula, LogicalOr):
+        left = compile_formula(formula.left, config)
+        right = compile_formula(formula.right, config)
+        return lambda env, history: left(env, history) or right(env, history)
+    if isinstance(formula, LogicalNot):
+        operand = compile_formula(formula.operand, config)
+        return lambda env, history: not operand(env, history)
+    if isinstance(formula, Implies):
+        antecedent = compile_formula(formula.antecedent, config)
+        consequent = compile_formula(formula.consequent, config)
+
+        def implies(env, history):
+            if not antecedent(env, history):
+                return True
+            return consequent(env, history)
+
+        return implies
+    if isinstance(formula, (ForAll, Exists)):
+        quantifier = all if isinstance(formula, ForAll) else any
+        domain_expr, variable = formula.domain, formula.variable
+        body = compile_formula(formula.body, config)
+
+        def quantified(env, history):
+            domain = domain_expr.evaluate(env)
+            return quantifier(
+                body(env.bind(variable, value), history)
+                for value in domain.enumerate(config.quant_bound)
+            )
+
+        return quantified
+
+    def unknown(env, history):  # fails when judged, as the interpreter does
+        raise EvaluationError(f"unknown formula {formula!r}")
+
+    return unknown
+
+
+def _compile_compare(formula: Compare, config: EvalConfig) -> Compiled:
+    left_of = _compile_term(formula.left, config)
+    right_of = _compile_term(formula.right, config)
+    op = formula.op
+    if op == "=":
+        return lambda env, history: left_of(env, history) == right_of(env, history)
+    if op == "!=":
+        return lambda env, history: left_of(env, history) != right_of(env, history)
+    seq_test, num_test = _ORDERS[op]
+
+    def compare(env, history):
+        left = left_of(env, history)
+        right = right_of(env, history)
+        if isinstance(left, tuple) and isinstance(right, tuple):
+            return seq_test(left, right)
+        if _is_int(left) and _is_int(right):
+            return num_test(left, right)
+        raise _incomparable(left, op, right)
+
+    return compare
+
+
+def _compile_term(term: Term, config: EvalConfig) -> Compiled:
+    if isinstance(term, ConstTerm):
+        value = term.value
+        return lambda env, history: value
+    if isinstance(term, VarTerm):
+        name = term.name
+        return lambda env, history: env.lookup(name)
+    if isinstance(term, ChannelTrace):
+        reference = term.channel
+        if reference.index is None or type(reference.index) is Const:
+            chan = reference.evaluate(EMPTY)  # closed: nothing can fail
+            return lambda env, history: history(chan)
+        return lambda env, history: history(reference.evaluate(env))
+    if isinstance(term, SeqLit):
+        elements = tuple(_compile_term(e, config) for e in term.elements)
+        return lambda env, history: tuple(e(env, history) for e in elements)
+    if isinstance(term, Cons):
+        head_of = _compile_term(term.head, config)
+        tail_of = _compile_term(term.tail, config)
+
+        def cons(env, history):
+            head = head_of(env, history)
+            tail = tail_of(env, history)
+            _require_seq(tail, "⌢ (cons)")
+            return (head,) + tail
+
+        return cons
+    if isinstance(term, Concat):
+        left_of = _compile_term(term.left, config)
+        right_of = _compile_term(term.right, config)
+
+        def concat(env, history):
+            left = left_of(env, history)
+            right = right_of(env, history)
+            _require_seq(left, "++")
+            _require_seq(right, "++")
+            return left + right
+
+        return concat
+    if isinstance(term, Length):
+        sequence_of = _compile_term(term.sequence, config)
+
+        def length(env, history):
+            seq = sequence_of(env, history)
+            _require_seq(seq, "#")
+            return len(seq)
+
+        return length
+    if isinstance(term, Index):
+        sequence_of = _compile_term(term.sequence, config)
+        index_of = _compile_term(term.index, config)
+
+        def index(env, history):
+            seq = sequence_of(env, history)
+            _require_seq(seq, "indexing")
+            position = index_of(env, history)
+            _require_int(position, "index")
+            try:
+                return seq_index(seq, position)
+            except IndexError as exc:
+                raise EvaluationError(str(exc)) from exc
+
+        return index
+    if isinstance(term, Arith):
+        return _compile_arith(term, config)
+    if isinstance(term, Apply):
+        name = term.name
+        args_of = tuple(_compile_term(a, config) for a in term.args)
+
+        def apply(env, history):
+            func = env.lookup(name, kind="function")
+            if not callable(func):
+                raise EvaluationError(f"{name!r} is not bound to a function")
+            args = [a(env, history) for a in args_of]
+            try:
+                return func(*args)
+            except EvaluationError:
+                raise
+            except Exception as exc:
+                raise EvaluationError(f"{name}(...) raised {exc!r}") from exc
+
+        return apply
+    if isinstance(term, Sum):
+        variable = term.variable
+        low_of = _compile_term(term.low, config)
+        high_of = _compile_term(term.high, config)
+        body_of = _compile_term(term.body, config)
+
+        def total(env, history):
+            low = low_of(env, history)
+            high = high_of(env, history)
+            _require_int(low, "Σ lower bound")
+            _require_int(high, "Σ upper bound")
+            result = 0
+            for value in range(low, high + 1):
+                summand = body_of(env.bind(variable, value), history)
+                _require_int(summand, "Σ body")
+                result += summand
+            return result
+
+        return total
+
+    def unknown(env, history):  # fails when judged, as the interpreter does
+        raise EvaluationError(f"unknown term {term!r}")
+
+    return unknown
+
+
+def _compile_arith(term: Arith, config: EvalConfig) -> Compiled:
+    left_of = _compile_term(term.left, config)
+    right_of = _compile_term(term.right, config)
+    op = term.op
+    plain = _ARITH.get(op)
+    divide = operator.floordiv if op == "div" else operator.mod
+
+    def arith(env, history):
+        left = left_of(env, history)
+        right = right_of(env, history)
+        _require_int(left, op)
+        _require_int(right, op)
+        if plain is not None:
+            return plain(left, right)
+        if right == 0:
+            raise EvaluationError(f"division by zero in {op}")
+        return divide(left, right)
+
+    return arith

@@ -193,17 +193,19 @@ class Explorer:
 
         A budget trip raises :class:`~repro.errors.BudgetExceeded` whose
         checkpoint counts the traces of length ≤ ``completed_depth`` found
-        before it — a sound under-approximation.
+        before it — a sound under-approximation.  A trip inside the
+        initial τ-closure completes no depth (``None``) and counts no
+        trace, as in :meth:`deadlock_report`.
         """
         self._begin()
         traces = 0  # of length ≤ level
-        level = 0
+        level: Optional[int] = None  # None until the initial τ-closure is done
         try:
             with _governor.recursion_guard("explore"), self.semantics.memoised():
                 initial = self.tau_closure(self.semantics.initial_state(term))
                 frontier: Dict[StateSet, int] = {initial: 1}  # set → traces reaching it
                 levels = [frontier]
-                traces = 1
+                traces, level = 1, 0
                 for level in range(depth):
                     governor = _governor.current()
                     if governor is not None:

@@ -16,8 +16,11 @@ left-to-right — and judges ``R`` once per distinct pair (trie node,
 ``ch(s)``) rather than once per trace: two traces reaching the same
 node with the same history have the same continuations and the same
 histories along them, so ``R`` agrees on every extension of both.
-``trie_walk=False`` restores the flat per-trace loop (kept as the
-oracle); both modes report the same verdict, count and counterexample.
+The walk judges each pair through ``R`` compiled once per closure it
+walks (:func:`~repro.assertions.eval.compile_formula`).  ``trie_walk=False``
+restores the flat per-trace loop, which judges through the interpreter
+:func:`~repro.assertions.eval.evaluate_formula` (kept as the oracle);
+both modes report the same verdict, count and counterexample.
 
 An evaluation error while judging ``R`` on a trace (e.g. an unguarded
 out-of-range index) counts as a violation and is reported on the
@@ -34,7 +37,13 @@ from typing import (
 )
 
 from repro.assertions.ast import Formula
-from repro.assertions.eval import DEFAULT_EVAL_CONFIG, EvalConfig, evaluate_formula
+from repro.assertions.eval import (
+    DEFAULT_EVAL_CONFIG,
+    Compiled,
+    EvalConfig,
+    compile_formula,
+    evaluate_formula,
+)
 from repro.assertions.parser import parse_assertion
 from repro.errors import BudgetExceeded, EvaluationError
 from repro.process.analysis import channel_names
@@ -331,25 +340,33 @@ class SatChecker:
         a pair was skipped is walked again canonically, so its
         ``traces_checked`` is the flat loop's (the number of traces
         judged up to and including the first violation); a walk that
-        skipped nothing already was the canonical one."""
+        skipped nothing already was the canonical one.  Both walks judge
+        through ``formula`` compiled once, here."""
+        judge = compile_formula(formula, self.eval_config)
         root = closure.root
-        result, skipped = self._walk_trie(root, formula, env, bindings, quotient=True)
+        result, skipped = self._walk_trie(
+            root, formula, judge, env, bindings, quotient=True
+        )
         if not result.holds and skipped:
-            result, _ = self._walk_trie(root, formula, env, bindings, quotient=False)
+            result, _ = self._walk_trie(
+                root, formula, judge, env, bindings, quotient=False
+            )
         return result
 
     def _walk_trie(
         self,
         root: ClosureNode,
         formula: Formula,
+        judge: Compiled,
         env: Environment,
         bindings: Optional[Mapping[str, Any]],
         quotient: bool,
     ) -> Tuple[SatResult, bool]:
         """Breadth-first trie walk with the channel history threaded down
         each edge — one :meth:`ChannelHistory.with_appended` per visited
-        node instead of one full ``ch(s)`` pass per trace.  Returns the
-        result and whether any pair was skipped.
+        node instead of one full ``ch(s)`` pass per trace — judging each
+        visited pair through ``judge``, ``formula`` compiled.  Returns
+        the result and whether any pair was skipped.
 
         With ``quotient``, each pair (trie node, ``ch(s)``) is judged
         once: a child whose pair an earlier trace already reached is
@@ -376,7 +393,7 @@ class SatChecker:
             _governor.tick()
             checked += 1
             try:
-                ok = evaluate_formula(formula, env, history, self.eval_config)
+                ok = judge(env, history)
             except EvaluationError as exc:
                 return SatResult(
                     False,

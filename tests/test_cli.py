@@ -420,6 +420,10 @@ class TestBudgetsAndExitCodes:
         err = capsys.readouterr().err
         assert "budget exhausted: recursion-depth" in err
         assert "Traceback" not in err
+        if op == "traces":
+            # The trip is inside the initial τ-closure: no depth is done.
+            assert "partial result: explore: no depth completed" in err
+            assert "verified to depth" not in err
 
     def test_ungoverned_supply_trip_completes_no_sat_depth(
         self, tmp_path, capsys
