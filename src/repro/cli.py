@@ -142,9 +142,7 @@ def _query(args: argparse.Namespace, op: str, specs: Sequence[str] = ()) -> int:
             response.get("stderr") or "",
             int(response.get("exit_code", 0)),
         )
-    answer, _ = query.run(
-        defs, op, specs, options, governed=_governor.current() is not None
-    )
+    answer, _ = query.run(defs, op, specs, options)
     return _emit(answer.stdout, answer.stderr, answer.exit_code)
 
 
@@ -162,9 +160,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     defs = _load(args)
     reset_stats()
-    checker = query.open_checker(
-        defs, _options(args), governed=_governor.current() is not None
-    )
+    checker = query.open_checker(defs, _options(args))
     cache = checker.cache
     target = process_target(defs, args.process)
     code = 0

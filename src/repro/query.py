@@ -14,6 +14,7 @@ the CLI builds one from its flags, and a serve request already is one.
 
 from __future__ import annotations
 
+import re
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -21,13 +22,16 @@ from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Tuple
 from repro.assertions.sequences import cancel_protocol
 from repro.errors import BudgetExceeded, ParseError
 from repro.process.ast import Name
+from repro.runtime import governor as _governor
 from repro.values.domains import FiniteDomain
 from repro.values.environment import Environment
 
 
 def _parse_value(text: str):
+    """A ``--set`` value: an integer when it is ASCII ``-?[0-9]+``,
+    otherwise a symbol (``ACK``, ``-``, ``--1``, ``²``)."""
     text = text.strip()
-    if text.lstrip("-").isdigit():
+    if re.fullmatch(r"-?[0-9]+", text):
         return int(text)
     return text
 
@@ -66,18 +70,15 @@ def process_target(defs, name: Optional[str]) -> Name:
     return Name(name)
 
 
-def open_cache(defs, config, options: Mapping[str, Any], governed: bool):
+def open_cache(defs, config, options: Mapping[str, Any]):
     """A snapshot cache for this (definitions, config, bindings) situation,
     or ``None`` when caching is off.
 
-    A governed query's cache is **checkpoint-only**: it serves and
-    records nothing but ``fix:{name}@level{k}`` slots — the
-    per-completed-depth closures of the governed deepening schedule.
-    Each such slot is deterministic given the definitions and config
-    (never depends on where a budget tripped), so a tripped run resumes
-    from its own checkpoints on the next invocation while "how far did
-    the budget reach" stays invocation-deterministic; the general slot
-    vocabulary stays reserved for ungoverned runs.
+    Governed or not, a query reads and writes the same
+    ``traces:{engine}:{name}:d{depth}`` slots: a closure at a depth is
+    a function of the definitions, config and bindings alone, so a run
+    under a budget resumes from every depth an earlier run completed,
+    and an unbudgeted run reads what a budgeted one finished.
     """
     if options.get("no_cache"):
         return None
@@ -92,12 +93,10 @@ def open_cache(defs, config, options: Mapping[str, Any], governed: bool):
         "sets": sorted(options.get("sets") or []),
         "with_cancel": options.get("with_cancel"),
     }
-    return SnapshotCache(
-        directory, cache_key(defs, config, extra), checkpoint_only=governed
-    )
+    return SnapshotCache(directory, cache_key(defs, config, extra))
 
 
-def open_checker(defs, options: Mapping[str, Any], governed: bool):
+def open_checker(defs, options: Mapping[str, Any]):
     """The :class:`~repro.sat.checker.SatChecker` for one query; its
     cache, from :func:`open_cache`, is ``checker.cache``."""
     from repro.sat.checker import SatChecker
@@ -114,20 +113,18 @@ def open_checker(defs, options: Mapping[str, Any], governed: bool):
         env,
         config,
         engine=options.get("engine", "denotational"),
-        cache=open_cache(defs, config, options, governed),
+        cache=open_cache(defs, config, options),
     )
 
 
 class Answer(NamedTuple):
-    """A rendered query: what ``repro`` prints and exits with, the
-    per-spec ``verdicts`` of a check batch, and the checkpoint slots a
-    budget trip left to resume from."""
+    """A rendered query: what ``repro`` prints and exits with, and the
+    per-spec ``verdicts`` of a check batch."""
 
     stdout: str
     stderr: str
     exit_code: int
     verdicts: Tuple[dict, ...] = ()
-    resume_slots: Tuple[str, ...] = ()
 
 
 def answer(checker, op: str, target: Name, specs: Sequence[str] = ()) -> Answer:
@@ -146,7 +143,6 @@ def answer(checker, op: str, target: Name, specs: Sequence[str] = ()) -> Answer:
         partial = checker.traces_partial(target)
         return Answer(*report.traces_outcome(partial, depth, checker.engine))
     verdicts = []
-    resume_slots: Tuple[str, ...] = ()
     for spec in specs:
         result = trip = None
         try:
@@ -160,15 +156,12 @@ def answer(checker, op: str, target: Name, specs: Sequence[str] = ()) -> Answer:
             {"spec": spec, "exit_code": code, "stdout": out, "stderr": err}
         )
         if trip is not None:
-            if trip.checkpoint is not None:
-                resume_slots = trip.checkpoint.resume_slots
             break
     return Answer(
         "\n".join(v["stdout"] for v in verdicts if v["stdout"]),
         "\n".join(v["stderr"] for v in verdicts if v["stderr"]),
         next((v["exit_code"] for v in verdicts if v["exit_code"]), 0),
         tuple(verdicts),
-        resume_slots,
     )
 
 
@@ -177,19 +170,19 @@ def run(
     op: str,
     specs: Sequence[str],
     options: Mapping[str, Any],
-    governed: bool,
     checker_for: Callable[..., Any] = open_checker,
 ) -> Tuple[Answer, Any]:
     """Answer one query and save its cache; returns the answer and the
-    cache.  ``checker_for(defs, options, governed)`` supplies the checker
-    (the serve worker passes its warm pool).  A governed query runs in a
-    fresh private arena, as a one-shot process does, so ``--max-nodes``
-    counts the same fresh nodes wherever it runs."""
+    cache.  ``checker_for(defs, options)`` supplies the checker (the
+    serve worker passes its warm pool).  A query under the ambient
+    governor runs in a fresh private arena, as a one-shot process does,
+    so ``--max-nodes`` counts the same fresh nodes wherever it runs."""
     from repro.traces.trie import private_state
 
     target = process_target(defs, options.get("process") or None)
+    governed = _governor.current() is not None
     with private_state() if governed else nullcontext():
-        checker = checker_for(defs, options, governed)
+        checker = checker_for(defs, options)
         try:
             return answer(checker, op, target, specs), checker.cache
         finally:

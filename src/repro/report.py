@@ -65,9 +65,9 @@ def render_partial(exc: BudgetExceeded) -> str:
     if checkpoint is not None:
         lines.append(f"partial result: {checkpoint.describe()}")
         if checkpoint.resume_slots:
-            # Both engines persist deterministic ``fix:…@level{k}``
-            # checkpoint slots — tell the user the trip is resumable, not
-            # just how far it got.
+            # A governed check persists each depth it built as a
+            # ``traces:…:d{k}`` slot, either engine — tell the user the
+            # trip is resumable, not just how far it got.
             lines.append(
                 "resume: re-invoke with the same cache directory to "
                 "continue from the persisted checkpoints"
@@ -106,7 +106,7 @@ def check_outcome(
     Pass ``result`` (a :class:`~repro.sat.checker.SatResult`) for a
     completed check, or ``trip`` for a budget-interrupted one; ``depth``
     is the configured bound, used when the result does not carry a
-    verified depth of its own.
+    verified depth of its own (a checker's results always do).
     """
     if trip is not None:
         return (

@@ -387,9 +387,10 @@ def suspended() -> Iterator[None]:
     """Run the body with no ambient governor, restoring it afterwards.
 
     Cache *persistence* must never spend the budget of the computation
-    it is saving: a governed run that already tripped still writes its
-    checkpoint slots, and merging another process's slots into the file
-    re-interns nodes that must not trip the (already spent) budget.
+    it is saving: a governed run that already tripped still writes the
+    slots of the depths it completed, and merging another process's
+    slots into the file re-interns nodes that must not trip the
+    (already spent) budget.
     Like :func:`activate`, the change is process-global.
     """
     global _ACTIVE

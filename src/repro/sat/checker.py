@@ -57,7 +57,7 @@ from repro.semantics.denotation import Denoter
 from repro.traces.events import Trace
 from repro.traces.histories import ChannelHistory, ch
 from repro.traces.prefix_closure import FiniteClosure
-from repro.traces.snapshot import SnapshotCache, checkpoint_slot
+from repro.traces.snapshot import SnapshotCache
 from repro.traces.trie import ClosureNode
 from repro.values.domains import Domain
 from repro.values.environment import Environment
@@ -67,9 +67,9 @@ class SatResult(NamedTuple):
     """Outcome of a bounded ``sat`` check.
 
     ``complete`` is False only for partial results assembled after a
-    budget trip; ``verified_depth`` is the deepest trace length the check
-    actually covered (``None`` under the ungoverned single-pass path,
-    where it is always the configured depth).
+    budget trip; ``verified_depth`` is the depth of the closure a
+    :meth:`SatChecker.check` verdict covers: the configured depth for a
+    HOLDS, the depth whose walk met the counterexample for a VIOLATED.
     """
 
     holds: bool
@@ -126,9 +126,9 @@ class SatChecker:
         self.engine = engine
         self.trie_walk = trie_walk
         self.cache = cache
-        #: checkpoint slots written this run (surfaced in budget
-        #: checkpoints so a resumed invocation knows what it can reuse).
-        self._checkpoint_slots: List[str] = []
+        #: cache slots this checker wrote, over every query it answered;
+        #: a governed trip reports them as resume slots.
+        self._written: List[str] = []
         #: lazily-built supplies, one per checker: the Denoter's memo and
         #: the explorer's τ-closure memo hold only completed results, so
         #: sharing them across depths and queries is sound.
@@ -144,31 +144,21 @@ class SatChecker:
         (``depth`` overrides the configured bound, e.g. for deepening).
 
         With a cache, a named target's closure is cached under
-        ``traces:{engine}:{name}:d{depth}`` (ungoverned) or
-        ``fix:{engine}:{name}@level{k}`` (governed), whichever engine
-        computes it: both yield the same §3 bounded trace set."""
+        ``traces:{engine}:{name}:d{depth}``, whichever engine computes it
+        and whatever budget the run has: the §3 bounded trace set at a
+        depth is a function of the definitions and the depth alone."""
         if depth is None:
             depth = self.config.depth
         slot = None
         if self.cache is not None and isinstance(process, Name):
-            if getattr(self.cache, "checkpoint_only", False):
-                # Governed run: per-depth checkpoint slots keyed by the
-                # deepening schedule.  The closure at each completed depth
-                # is deterministic given the definitions and config —
-                # independent of the budget that interrupted the run — so
-                # serving it preserves invocation-determinism while
-                # letting a tripped run resume past its last checkpoint.
-                slot = checkpoint_slot(f"{self.engine}:{process.name}", depth)
-            else:
-                slot = f"traces:{self.engine}:{process.name}:d{depth}"
+            slot = f"traces:{self.engine}:{process.name}:d{depth}"
             node = self.cache.get(slot)
             if node is not None:
                 return FiniteClosure.from_node(node)
         closure = self._compute_traces(process, depth)
         if slot is not None:
             self.cache.put(slot, closure.root)
-            if getattr(self.cache, "checkpoint_only", False):
-                self._checkpoint_slots.append(slot)
+            self._written.append(slot)
         return closure
 
     def _compute_traces(self, process: Process, depth: int) -> FiniteClosure:
@@ -187,19 +177,26 @@ class SatChecker:
             )
         return self._operational.visible_traces(process, depth)
 
-    def _deepening(
-        self, process: Process, governor: Governor
+    def _schedule(
+        self, process: Process, governor: Optional[Governor]
     ) -> Iterator[Tuple[int, FiniteClosure]]:
-        """The governed deepening schedule: ``(depth, closure)`` for depth
-        0, 1, … up to the configured depth, the deadline checked before
-        each closure is built.
+        """The depths a run judges, as ``(depth, closure)`` pairs.
 
-        It stops at the first closure whose root is the previous one's:
-        a prefix-closed trace set that did not grow from depth−1 to depth
-        holds no longer trace either, so it is the answer at every depth.
-        A loop over the schedule that ends without a trip has therefore
-        covered the configured depth.
+        Without a governor: the configured depth alone.  Under one: depth
+        0, 1, … up to the configured depth, the deadline checked before
+        each closure is built, so a trip still leaves the deepest depth
+        that finished (§3.3: the bounded closure at depth d holds exactly
+        the traces of length ≤ d of the full denotation).
+
+        The governed schedule stops at the first closure whose root is
+        the previous one's: a prefix-closed trace set that did not grow
+        from depth−1 to depth holds no longer trace either, so it is the
+        answer at every depth.  A loop over the schedule that ends
+        without a trip has therefore covered the configured depth.
         """
+        if governor is None:
+            yield self.config.depth, self.traces_of(process)
+            return
         previous: Optional[FiniteClosure] = None
         for depth in range(self.config.depth + 1):
             governor.check_deadline()
@@ -210,26 +207,28 @@ class SatChecker:
             previous = closure
 
     def traces_partial(self, process: Process) -> PartialTraces:
-        """The trace set under the ambient budget: deepen from 0 to the
-        configured depth and keep the last closure that *finished*.
+        """The trace set under the ambient budget: the last closure of
+        :meth:`_schedule` that *finished*.
 
         Bounded closures are monotone in depth, so the kept closure is a
         sound under-approximation — every trace in it is a real trace.
-        Returns ``complete=False`` (instead of raising) when the budget
-        stops the deepening early.
+        Under a governor, returns ``complete=False`` (instead of raising)
+        when the budget stops the deepening early; ungoverned, a trip in
+        the supply propagates.
         """
         governor = _governor.current()
-        if governor is None:
-            return PartialTraces(self.traces_of(process), self.config.depth, True)
         closure: Optional[FiniteClosure] = None
         verified: Optional[int] = None
         try:
-            for verified, closure in self._deepening(process, governor):
-                governor.record_progress(
-                    phase="traces", completed_depth=verified,
-                    traces_verified=len(closure),
-                )
+            for verified, closure in self._schedule(process, governor):
+                if governor is not None:
+                    governor.record_progress(
+                        phase="traces", completed_depth=verified,
+                        traces_verified=len(closure),
+                    )
         except BudgetExceeded:
+            if governor is None:
+                raise
             return PartialTraces(closure, verified, False)
         return PartialTraces(closure, self.config.depth, True)
 
@@ -244,90 +243,55 @@ class SatChecker:
         """Check ``process sat assertion``; extra variable ``bindings``
         extend the environment (e.g. a specific ``x`` for ``q[x]``).
 
-        Under an ambient governor the check runs by iterative deepening so
-        a budget trip can still report "verified to depth k": the raised
+        Judges every closure of :meth:`_schedule`.  Under an ambient
+        governor that is iterative deepening, so a budget trip can still
+        report "verified to depth k": the raised
         :class:`~repro.errors.BudgetExceeded` carries a checkpoint whose
         ``completed_depth`` is the deepest depth at which *every* trace
-        satisfied the assertion.  Ungoverned, a trip in the trace supply
-        (say, the explorer's state cap) completes no depth of the check.
+        satisfied the assertion, and whose resume slots are the cache
+        slots this checker wrote.  A counterexample found at any depth
+        is a real trace of the process, so a refutation is complete
+        however early the budget would have tripped.  Each depth is
+        walked afresh; the quotiented walk costs one visit per pair, so
+        the schedule stays within a small factor of its last walk.
+        Ungoverned, a trip in the trace supply (say, the explorer's
+        state cap) completes no depth of the check.
         """
         formula = self._coerce(assertion, process)
         env = self.env.bind_all(dict(bindings or {}))
+        walk = self._check_trie if self.trie_walk else self._check_flat
         governor = _governor.current()
-        if governor is not None:
-            return self._check_governed(process, formula, env, bindings, governor)
-        try:
-            closure = self.traces_of(process)
-        except BudgetExceeded as exc:
-            raise exc.with_checkpoint(
-                _governor.trip_checkpoint(exc, "sat", None, 0)
-            ) from None
-        if self.trie_walk:
-            return self._check_trie(closure, formula, env, bindings)
-        return self._check_flat(closure, formula, env, bindings)
-
-    def _check_governed(
-        self,
-        process: Process,
-        formula: Formula,
-        env: Environment,
-        bindings: Optional[Mapping[str, Any]],
-        governor: Governor,
-    ) -> SatResult:
-        """Iterative deepening: check at depth 0, 1, …, configured depth.
-
-        Each completed depth is a sound partial verdict (§3.3: the bounded
-        closure at depth d contains exactly the traces of length ≤ d of
-        the full denotation).  A counterexample found at any depth is a
-        real trace of the process, so refutations are always *complete*
-        results no matter how early the budget would have tripped.
-
-        The schedule is :meth:`_deepening`'s.  Each depth is walked
-        afresh; the quotiented walk costs one visit per (node, ``ch(s)``)
-        pair, so the whole schedule stays within a small factor of the
-        last depth's walk.
-        """
         verified: Optional[int] = None
         traces_done = 0
         try:
-            for depth, closure in self._deepening(process, governor):
-                if self.trie_walk:
-                    result = self._check_trie(closure, formula, env, bindings)
-                else:
-                    result = self._check_flat(closure, formula, env, bindings)
+            for depth, closure in self._schedule(process, governor):
+                result = walk(closure, formula, env, bindings)
                 if not result.holds:
-                    return SatResult(
-                        False,
-                        result.counterexample,
-                        result.traces_checked,
-                        complete=True,
-                        verified_depth=depth,
-                    )
+                    return result._replace(verified_depth=depth)
                 verified, traces_done = depth, result.traces_checked
-                governor.record_progress(
-                    phase="sat",
-                    completed_depth=verified,
-                    traces_verified=traces_done,
-                )
+                if governor is not None:
+                    governor.record_progress(
+                        phase="sat", completed_depth=verified,
+                        traces_verified=traces_done,
+                    )
         except BudgetExceeded as exc:
             raise exc.with_checkpoint(
                 _governor.trip_checkpoint(
-                    exc,
-                    "sat",
-                    verified,
-                    traces_done,
-                    resume_slots=tuple(self._checkpoint_slots),
+                    exc, "sat", verified, traces_done,
+                    resume_slots=(
+                        tuple(self._written) if governor is not None else ()
+                    ),
                 )
             ) from None
         # The schedule ran out without a trip: the check holds to the
         # configured depth, saturated or not.
         verified = self.config.depth
-        governor.record_progress(
-            phase="sat", completed_depth=verified, traces_verified=traces_done
-        )
-        return SatResult(
-            True, None, traces_done, complete=True, verified_depth=verified
-        )
+        if governor is not None:
+            governor.record_progress(
+                phase="sat", completed_depth=verified,
+                traces_verified=traces_done,
+            )
+        return SatResult(True, None, traces_done, verified_depth=verified)
 
     def _check_trie(
         self,

@@ -487,10 +487,10 @@ class Supervisor:
     def _ship_shared(self, worker: WorkerHandle, request: Dict[str, Any]) -> None:
         """Warm ``worker`` with another worker's solved roots for this
         request's situation, if the pool has them and this worker does
-        not.  Governed requests are skipped — they run against fresh
-        checkpoint-only caches by design.  Transport failures propagate
-        to the dispatch retry loop (the worker is retired and the fresh
-        replacement re-warmed)."""
+        not.  Governed requests are skipped — they run in a fresh
+        private arena with a fresh checker by design.  Transport
+        failures propagate to the dispatch retry loop (the worker is
+        retired and the fresh replacement re-warmed)."""
         if request.get("budget"):
             return
         situation = protocol.situation(request)

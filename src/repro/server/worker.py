@@ -42,6 +42,7 @@ from repro import query, serialize
 from repro.errors import ServerError, exit_code_for
 from repro.process.definitions import DefinitionList
 from repro.runtime import faults as _faults
+from repro.runtime import governor as _governor
 from repro.runtime.faults import FaultInjected
 from repro.runtime.governor import Budget, activate
 from repro.server import protocol
@@ -74,19 +75,10 @@ class MemoryRootsCache:
     ``save`` surface as :class:`~repro.traces.snapshot.SnapshotCache`,
     so the checker uses it unchanged."""
 
-    #: Never checkpoint-only — governed requests bypass sharing entirely.
-    checkpoint_only = False
-
     def __init__(self, inner: Any = None, seed: Optional[Dict[str, Any]] = None):
         self.inner = inner
         self.roots: Dict[str, Any] = dict(seed or {})
         self.fresh: Dict[str, Any] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def rebuilt(self) -> bool:
-        return bool(getattr(self.inner, "rebuilt", False))
 
     def get(self, slot: str):
         node = self.roots.get(slot)
@@ -94,10 +86,6 @@ class MemoryRootsCache:
             node = self.inner.get(slot)
             if node is not None:
                 self.roots[slot] = node
-        if node is None:
-            self.misses += 1
-            return None
-        self.hits += 1
         return node
 
     def put(self, slot: str, root: Any) -> None:
@@ -122,17 +110,17 @@ class MemoryRootsCache:
             self.inner.save()
 
 
-def _checker_for(defs: Any, request: Dict[str, Any], governed: bool):
+def _checker_for(defs: Any, request: Dict[str, Any]):
     """A :class:`SatChecker` for this request — reused across requests
-    when ungoverned (governed runs need fresh checkpoint-only caches and
-    a supply whose memo lives in their own private arena)."""
-    if governed:
-        return query.open_checker(defs, request, governed)
+    when ungoverned (a governed run needs a supply whose memo lives in
+    its own private arena)."""
+    if _governor.current() is not None:
+        return query.open_checker(defs, request)
     key = protocol.situation(request)
     if key in _CHECKERS:
         _CHECKERS.move_to_end(key)
         return _CHECKERS[key]
-    checker = query.open_checker(defs, request, governed)
+    checker = query.open_checker(defs, request)
     # Ungoverned checkers cache through the shared-roots layer, so a
     # system a sibling worker already solved warm-starts here too.
     checker.cache = MemoryRootsCache(checker.cache, _WARM_ROOTS.get(key))
@@ -163,11 +151,8 @@ def run_query(request: Dict[str, Any]) -> Dict[str, Any]:
         if not all(isinstance(s, str) and s for s in specs):
             raise ServerError("check batch carries a non-string spec")
     budget = Budget.from_spec(request.get("budget"))
-    governed = budget is not None
-    with activate(budget.start() if governed else None):
-        answer, cache = query.run(
-            defs, op, specs, request, governed, checker_for=_checker_for
-        )
+    with activate(budget.start() if budget is not None else None):
+        answer, cache = query.run(defs, op, specs, request, _checker_for)
     response = {
         "id": request.get("id"),
         "status": "OK",
@@ -178,8 +163,6 @@ def run_query(request: Dict[str, Any]) -> Dict[str, Any]:
     }
     if op == "check":
         response["verdicts"] = list(answer.verdicts)
-    if answer.resume_slots:
-        response["resume_slots"] = list(answer.resume_slots)
     if isinstance(cache, MemoryRootsCache) and cache.take_fresh():
         # Export the *whole* slot map, not just the fresh slots — each
         # segment frame must be self-contained (root ids are local to

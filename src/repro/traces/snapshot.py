@@ -54,7 +54,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -82,9 +81,12 @@ FORMAT_VERSION = 2
 #: separate from :data:`FORMAT_VERSION`: a layout change keeps the file
 #: name and the old file is simply quarantined and rebuilt on load —
 #: bump this only when the *meaning* of a slot's content changes.
-#: Version 2: chan-bearing definition lists are
-#: solved at ``hide_depth`` and truncated on export, so ``fix:`` slots
-#: for such systems now hold deeper roots than version-1 writers stored.
+#: Version 2: chan-bearing definition lists were solved at
+#: ``hide_depth`` and truncated on export, so the ``fix:`` slots of such
+#: systems held deeper roots than version-1 writers stored.  Nothing
+#: reads a ``fix:`` slot any more: a closure is ``traces:…:d{depth}``
+#: whichever run built it, and the ``fix:`` slots of older files ride
+#: along unread through merge-before-write.
 KEY_VERSION = 2
 
 
@@ -342,49 +344,19 @@ def cache_key(definitions: Any, config: Any, extra: Any = None) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
 
 
-#: Budget-aware checkpoint slots.  ``fix:{name}@level{k}`` holds the
-#: closure of ``name`` completed at depth ``k`` of a governed run's
-#: deepening schedule, whichever engine computed it.  Each slot's
-#: content is fully determined by the definitions and config (the cache
-#: key) and the level — never by the budget that interrupted the run —
-#: so serving these slots keeps governed invocations deterministic.
-_CHECKPOINT_SLOT = re.compile(r"fix:.+@level\d+\Z")
-
-
-def checkpoint_slot(name: str, level: int) -> str:
-    """The slot holding ``name``'s closure completed at depth ``level``."""
-    return f"fix:{name}@level{level}"
-
-
-def is_checkpoint_slot(slot: str) -> bool:
-    """True for slots in the deterministic checkpoint vocabulary
-    (``fix:…@level{k}``)."""
-    return _CHECKPOINT_SLOT.match(slot) is not None
-
-
 class SnapshotCache:
     """One snapshot file: named closure slots for one cache key.
 
-    Slots are free-form strings.  The sat checker writes them: an
-    ungoverned run stores each named target's closure under
-    ``traces:{engine}:{name}:d{depth}``, a governed one under the
-    checkpoint slots below.  ``get`` misses rather than raising;
-    ``save`` silently degrades on unwritable directories.
-
-    With ``checkpoint_only=True`` (governed runs) the cache serves and
-    records **only** checkpoint slots (``fix:{name}@level{k}``): those
-    are per-completed-depth closures of a deepening schedule,
-    deterministic regardless of where a budget tripped, while the
-    full-depth slot vocabulary is reserved for ungoverned runs whose
-    results are always complete.
+    Slots are free-form strings.  The sat checker writes them: every
+    run, governed or not, stores each named target's closure under
+    ``traces:{engine}:{name}:d{depth}``, one slot per depth it built.
+    ``get`` misses rather than raising; ``save`` silently degrades on
+    unwritable directories.
     """
 
-    def __init__(
-        self, directory: Path, key: str, checkpoint_only: bool = False
-    ) -> None:
+    def __init__(self, directory: Path, key: str) -> None:
         self.directory = Path(directory)
         self.key = key
-        self.checkpoint_only = checkpoint_only
         self.path = self.directory / f"snapshot-{key}.json"
         self.hits = 0
         self.misses = 0
@@ -440,9 +412,6 @@ class SnapshotCache:
             pass
 
     def get(self, slot: str) -> Optional[ClosureNode]:
-        if self.checkpoint_only and not is_checkpoint_slot(slot):
-            self.misses += 1
-            return None
         node = self._roots.get(slot)
         if node is None:
             self.misses += 1
@@ -451,8 +420,6 @@ class SnapshotCache:
         return node
 
     def put(self, slot: str, node: ClosureNode) -> None:
-        if self.checkpoint_only and not is_checkpoint_slot(slot):
-            return
         if self._roots.get(slot) is not node:
             self._roots[slot] = node
             self._dirty = True
@@ -509,7 +476,7 @@ class SnapshotCache:
 
         Runs with the ambient governor suspended: persistence must not
         spend the budget of the computation it is saving (a tripped run
-        still writes its checkpoint slots, and merging a peer's slots
+        still writes the closures of the depths it completed, and merging a peer's slots
         re-interns nodes that are not this run's work).
         """
         if not self._dirty:

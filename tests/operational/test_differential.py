@@ -2,8 +2,7 @@
 
 An operational closure at depth n is the same §3 bounded trace set as
 the denotational one, so both engines cache it under the same
-``traces:{engine}:{name}:d{n}`` / ``fix:{engine}:{name}@level{k}``
-slots.  The claim checked here is an *equivalence*: a warm operational
+``traces:{engine}:{name}:d{n}`` slots, governed or not.  The claim checked here is an *equivalence*: a warm operational
 run served from those slots is state-set- and verdict-identical to a
 cold exploration, which is in turn identical to the denotational engine
 — on the paper's systems suite, on randomly generated networks, under
@@ -34,7 +33,7 @@ from repro.semantics.denotation import denote
 from repro.soundness.generators import AssertionGenerator, ProcessGenerator
 from repro.systems import copier, protocol
 from repro.traces.prefix_closure import FiniteClosure
-from repro.traces.snapshot import SnapshotCache, cache_key, checkpoint_slot
+from repro.traces.snapshot import SnapshotCache, cache_key
 from repro.values.environment import Environment
 
 pytestmark = pytest.mark.differential
@@ -51,12 +50,10 @@ SYSTEMS = [
 ]
 
 
-def _checker(defs, env, directory=None, engine="operational", checkpoint_only=False):
+def _checker(defs, env, directory=None, engine="operational"):
     cache = None
     if directory is not None:
-        cache = SnapshotCache(
-            Path(directory), cache_key(defs, CFG), checkpoint_only=checkpoint_only
-        )
+        cache = SnapshotCache(Path(directory), cache_key(defs, CFG))
     return SatChecker(defs, env, CFG, engine=engine, cache=cache)
 
 
@@ -167,15 +164,13 @@ class TestFrontierFaultInjection:
         )
         return Explorer(semantics).visible_traces(Name("network"), CFG.depth)
 
-    def _checker(self, directory, governed):
-        return _checker(
-            self.DEFS, copier.environment(), directory, checkpoint_only=governed
-        )
+    def _checker(self, directory):
+        return _checker(self.DEFS, copier.environment(), directory)
 
     def _traces(self, checker, governed):
         # A governed run deepens level by level, caching each completed
-        # depth under its ``fix:…@level{k}`` slot; an ungoverned one
-        # caches the full-depth ``traces:`` slot.
+        # depth under its ``traces:…:d{k}`` slot; an ungoverned one
+        # caches only the full-depth slot.
         with activate(Budget(max_states=10**9).start() if governed else None):
             return checker.traces_partial(Name("network")).closure
 
@@ -189,7 +184,7 @@ class TestFrontierFaultInjection:
         cold = self._cold()
         directory = Path(tempfile.mkdtemp(prefix="repro-cachefault-"))
         try:
-            crashed = self._checker(directory, governed)
+            crashed = self._checker(directory)
             try:
                 with faults.inject(FaultPlan(site=site, after=after)):
                     self._traces(crashed, governed)
@@ -203,23 +198,18 @@ class TestFrontierFaultInjection:
             # sound truncation of the full answer.
             probe = SnapshotCache(directory, cache_key(self.DEFS, CFG))
             assert not probe.quarantined and not probe.rebuilt
-            slots = {
-                checkpoint_slot("operational:network", k): k
-                for k in range(CFG.depth + 1)
-            }
-            slots[f"traces:operational:network:d{CFG.depth}"] = CFG.depth
-            for slot, level in slots.items():
-                node = probe.get(slot)
+            for level in range(CFG.depth + 1):
+                node = probe.get(f"traces:operational:network:d{level}")
                 if node is not None:
                     assert FiniteClosure.from_node(node) == cold.truncate(level)
 
             # A clean rerun computes exactly the cold answer, and again
             # once its own slots are saved.
-            warm = self._checker(directory, governed)
+            warm = self._checker(directory)
             assert self._traces(warm, governed) == cold
             assert not warm.cache.quarantined
             warm.cache.save()
-            rewarm = self._checker(directory, governed)
+            rewarm = self._checker(directory)
             assert self._traces(rewarm, governed).traces == cold.traces
         finally:
             shutil.rmtree(directory, ignore_errors=True)

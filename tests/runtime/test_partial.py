@@ -62,7 +62,7 @@ class TestGovernedCheck:
     def test_ungoverned_check_unchanged(self):
         result = checker(depth=4).check(Name("copier"), "wire <= input")
         assert result.holds and result.complete
-        assert result.verified_depth is None  # single-pass path
+        assert result.verified_depth == 4  # one pass, at the configured depth
 
     def test_governed_verdict_matches_ungoverned(self):
         ungoverned = checker(depth=4).check(Name("copier"), "wire <= input")

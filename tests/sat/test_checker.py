@@ -273,8 +273,9 @@ class TestEngineEligibility:
 
 
 class TestGovernedCheckpointResume:
-    """Budget trips persist ``fix:{engine}:{name}@level{k}`` slots; the
-    next invocation resumes from them and reaches the ungoverned verdict.
+    """Budget trips persist one ``traces:{engine}:{name}:d{k}`` slot per
+    completed depth; the next invocation resumes from them and reaches
+    the ungoverned verdict.
     Both engines share the mechanism: the denotational run trips on
     interned nodes, the operational one on explored states."""
 
@@ -291,7 +292,7 @@ class TestGovernedCheckpointResume:
         cfg = SemanticsConfig(depth=5, sample=2)
         defs = parse_definitions(self.RELAY)
         key = cache_key(defs, cfg)
-        cache = SnapshotCache(tmp_path, key, checkpoint_only=True)
+        cache = SnapshotCache(tmp_path, key)
         return cfg, defs, SatChecker(defs, config=cfg, engine=engine, cache=cache)
 
     @pytest.mark.parametrize(
@@ -303,17 +304,17 @@ class TestGovernedCheckpointResume:
     ):
         from repro.errors import BudgetExceeded
         from repro.runtime.governor import Budget, activate
-        from repro.traces.snapshot import is_checkpoint_slot
 
         cfg, defs, checker = self._setup(tmp_path, engine)
         with pytest.raises(BudgetExceeded) as exc_info:
             with activate(Budget(**{resource: limit}).start()):
                 checker.check(Name("relay"), "passq <= feedq")
         checkpoint = exc_info.value.checkpoint
-        slots = checkpoint.resume_slots
-        assert slots and all(is_checkpoint_slot(s) for s in slots)
-        assert all(s.startswith(f"fix:{engine}:relay@level") for s in slots)
         assert checkpoint.completed_depth is not None
+        assert checkpoint.resume_slots == tuple(
+            f"traces:{engine}:relay:d{k}"
+            for k in range(checkpoint.completed_depth + 1)
+        )
         checker.cache.save()
         assert checker.cache.path.exists()
 

@@ -152,6 +152,24 @@ class TestCheck:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --set expects")
 
+    def test_set_value_is_an_integer_only_when_ascii_digits(
+        self, protocol_file, capsys
+    ):
+        # ``--1`` and ``²`` pass ``str.isdigit`` once a dash is stripped,
+        # but ``int`` rejects them: they are symbols, like ``ACK``.
+        from repro.query import environment_from_options
+
+        env = environment_from_options(["M=--1,²,-3,07"])
+        assert env.lookup("M").values == {"--1", "²", -3, 7}
+        code = main(
+            ["check", protocol_file, "--set", "M=--1,1", "--depth", "2",
+             "--spec", "output <= input", "--no-cache"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith(
+            "HOLDS: protocol sat output <= input"
+        )
+
 
 class TestProve:
     def test_proves_network(self, copier_file, capsys):
@@ -444,6 +462,43 @@ class TestBudgetsAndExitCodes:
         assert "partial result: sat: no depth completed" in captured.err
         assert "explore:" not in captured.err
 
+    def test_pooled_worker_trip_prints_the_one_shot_stderr(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A warm serve checker has written the slot of an earlier query
+        # on the same system; its ungoverned trip must not report it as
+        # a resume slot, or served and one-shot stderr would differ.
+        from collections import OrderedDict
+
+        from repro.process.parser import parse_definitions
+        from repro.server import protocol, worker
+
+        monkeypatch.setattr(worker, "_CHECKERS", OrderedDict())
+        monkeypatch.setattr(worker, "_WARM_ROOTS", OrderedDict())
+        path = tmp_path / "hidden.csp"
+        path.write_text(HIDDEN_RECURSION)
+        where = dict(depth=1, engine="operational",
+                     cache_dir=str(tmp_path / "cache"))
+
+        def served(process, spec):
+            return worker.handle(protocol.query(
+                "check", parse_definitions(HIDDEN_RECURSION),
+                process=process, spec=spec, **where,
+            ))
+
+        assert served("p1", "#b >= 0")["exit_code"] == 0
+        (checker,) = worker._CHECKERS.values()
+        assert checker._written == ["traces:operational:p1:d1"]
+        response = served("sys", "#b >= 1")
+        assert main(
+            ["check", str(path), "--process", "sys", "--depth", "1",
+             "--engine", "operational", "--spec", "#b >= 1",
+             "--cache-dir", str(tmp_path / "one-shot")]
+        ) == response["exit_code"] == 4
+        err = capsys.readouterr().err
+        assert response["stderr"] + "\n" == err
+        assert "resume" not in err
+
     def test_deadlocks_reports_states_touched(self, deadlock_file, capsys):
         code = main(["deadlocks", deadlock_file, "--process", "net", "--depth", "2"])
         assert code == 1
@@ -518,11 +573,10 @@ class TestEngineFlags:
         assert main(argv) == 0
         assert not cache_dir.exists()
 
-    def test_budgeted_run_writes_only_checkpoint_slots(
+    def test_budgeted_run_writes_one_slot_per_completed_depth(
         self, copier_file, tmp_path, capsys
     ):
         import json
-        import re
 
         cache_dir = tmp_path / "cache"
         argv = [
@@ -530,18 +584,40 @@ class TestEngineFlags:
             "--cache-dir", str(cache_dir), "--deadline", "30",
         ]
         assert main(argv) == 0
-        # Governed runs persist per-completed-depth checkpoint slots —
-        # and nothing from the general (ungoverned) slot vocabulary.
+        # A governed run deepens 0…3 and persists each depth's closure
+        # under the name an ungoverned run gives it.
         snapshots = list(cache_dir.glob("snapshot-*.json"))
         assert len(snapshots) == 1
         roots = json.loads(snapshots[0].read_text())["roots"]
-        assert roots
-        assert all(re.fullmatch(r"fix:.+@level\d+", slot) for slot in roots)
+        assert sorted(roots) == [
+            f"traces:denotational:copier:d{k}" for k in range(4)
+        ]
         first = capsys.readouterr().out
-        # A rerun resumes from the checkpoint slots and prints the same
-        # traces (invocation-determinism).
+        # A rerun resumes from those slots and prints the same traces
+        # (invocation-determinism).
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "first,second,account",
+        [
+            ([], ["--deadline", "60"], "1 hits, 8 misses"),
+            (["--deadline", "60"], [], "1 hits, 0 misses"),
+        ],
+        ids=["governed-reads-ungoverned", "ungoverned-reads-governed"],
+    )
+    def test_governed_and_ungoverned_runs_share_slots(
+        self, first, second, account, copier_file, tmp_path, capsys
+    ):
+        # One name per closure: a budgeted stats reads the depth-8 slot
+        # an unbudgeted check wrote (and computes depths 0…7 itself), and
+        # an unbudgeted stats reads the one a budgeted check completed.
+        where = ["--process", "copier", "--spec", "wire <= input",
+                 "--depth", "8", "--cache-dir", str(tmp_path / "cache")]
+        assert main(["check", copier_file, *where, *first]) == 0
+        capsys.readouterr()
+        assert main(["stats", copier_file, *where, *second]) == 0
+        assert f"snapshot cache: {account}" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "source,argv",

@@ -332,16 +332,16 @@ class TestFilesWithBlobTable:
         cache = SnapshotCache(tmp_path, key)
         assert cache.loaded and not cache.rebuilt and not cache.quarantined
         assert cache.get("traces:operational:p:d3") is closure.root
-        governed = SnapshotCache(tmp_path, key, checkpoint_only=True)
-        assert not governed.rebuilt and not governed.quarantined
-        assert governed.get("fix:operational:p@level2") is shallow.root
-        # ``frontier:`` is no longer a checkpoint vocabulary.
-        assert governed.get("frontier:operational:p@level2") is None
 
         cache.put("traces:operational:p:d2", shallow.root)
         cache.save()
         saved = json.loads(path.read_text(encoding="utf-8"))
         assert "blobs" not in saved
+        # No run reads the old ``fix:`` and ``frontier:`` slots; the merge
+        # before a write carries them along.
+        assert {
+            "fix:operational:p@level2", "frontier:operational:p@level2"
+        } <= set(saved["roots"])
         assert not (tmp_path / "quarantine").exists()
         reloaded = SnapshotCache(tmp_path, key)
         assert reloaded.get("traces:operational:p:d3") is closure.root
@@ -564,9 +564,9 @@ class TestSelfHealing:
 class TestConcurrentGovernedWriters:
     """Satellite: two governed CLI invocations race on the *same*
     snapshot file (same definitions, config, bindings — different
-    processes, hence disjoint ``fix:{name}@level{k}`` slots).  The
-    flock + merge-on-save discipline must keep the union: a lost update
-    would silently discard one client's checkpoints."""
+    processes, hence disjoint ``traces:{engine}:{name}:d{k}`` slots).
+    The flock + merge-on-save discipline must keep the union: a lost
+    update would silently discard one client's checkpoints."""
 
     def test_no_lost_update_between_concurrent_clients(self, tmp_path):
         import os
@@ -591,7 +591,7 @@ class TestConcurrentGovernedWriters:
                 [
                     sys.executable, "-m", "repro", "traces", str(source),
                     "--process", name, "--depth", "3",
-                    "--deadline", "60",  # governed → checkpoint-only slots
+                    "--deadline", "60",  # governed: a slot per depth
                     "--cache-dir", str(cache_dir),
                 ],
                 env=env,
@@ -605,10 +605,8 @@ class TestConcurrentGovernedWriters:
         snapshots = list(cache_dir.glob("snapshot-*.json"))
         assert len(snapshots) == 1  # same key: both raced on this file
         roots = json.loads(snapshots[0].read_text(encoding="utf-8"))["roots"]
-        slots = set(roots)
-        assert any(
-            slot.startswith("fix:denotational:copier@") for slot in slots
-        )
-        assert any(
-            slot.startswith("fix:denotational:recopier@") for slot in slots
-        )
+        assert set(roots) == {
+            f"traces:denotational:{name}:d{k}"
+            for name in ("copier", "recopier")
+            for k in range(4)
+        }
