@@ -140,13 +140,13 @@ EXPLORER_LAYER_CEILINGS = {
 #: Absolute ceilings on single layers, in calibration loops (best-of-5
 #: wall clock of the layer over that of ``bench_kernel``'s fixed
 #: 200 000-iteration pure-Python loop, timed just before it).  Set at
-#: about 3× the highest value measured: judging each pair through the
-#: compiled formula, the quotiented walk read 0.43–0.80 loops in
-#: eighteen runs on a 2-vCPU host (all but one under 0.64), where the
-#: interpreter read 0.64–0.82 and walking trace by trace took 27–31.
-#: The guard catches a return to path walking, not drift.
+#: about 3× the highest value measured: threading ``ch(s)`` as a tuple
+#: over channel slots, the quotiented walk read 0.17–0.29 loops in ten
+#: runs on a 2-vCPU host, where ``Channel``-keyed history maps read
+#: 0.48–0.57 in five runs in turn with them and walking trace by trace
+#: took 27–31.  The guard catches a return to path walking, not drift.
 LAYER_CEILINGS = {
-    "sat walk protocol depth=14 output <= input": (walk_layer_case, 2.4),
+    "sat walk protocol depth=14 output <= input": (walk_layer_case, 0.85),
 }
 
 #: Recorded baselines below this are too fast to re-time stably.

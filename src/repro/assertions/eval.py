@@ -11,18 +11,24 @@ out of range.  Quantifiers over infinite sets enumerate a bounded sample
 complete for refutation on the enumerated values, and irrelevant to the
 proof system, which treats quantifiers symbolically.
 
-``compile_formula(R)`` turns ``R`` into a closure ``judge(env, history)``
-in one pass over its syntax tree, for callers that judge one formula
-under many histories (the sat walk).  The judge makes the interpreter's
-calls in the interpreter's order, so it returns what
-:func:`evaluate_formula` returns and raises what it raises, with the same
-text; the interpreter stays the oracle it is tested against.
+``compile_formula(R, slots)`` turns ``R`` into a closure
+``judge(env, history)`` in one pass over its syntax tree, for callers
+that judge one formula under many histories (the sat walk).  Its
+``history`` is ``ch(s)`` as the walk threads it: a tuple of message
+sequences indexed by channel *slots*, the ``slots`` map that compiling
+and the walk fill, so the judge reads a channel's history by position
+and never hashes a :class:`~repro.traces.events.Channel` for a closed
+reference.  The judge makes the interpreter's calls in the interpreter's
+order, so it returns what :func:`evaluate_formula` returns on the same
+``ch(s)`` and raises what it raises, with the same text; the
+interpreter, over :class:`~repro.traces.histories.ChannelHistory`, stays
+the oracle it is tested against.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable
+from typing import Any, Callable, Dict, Tuple
 
 from repro.assertions.ast import (
     Apply,
@@ -49,7 +55,8 @@ from repro.assertions.ast import (
 )
 from repro.assertions.sequences import is_seq_prefix, is_strict_seq_prefix, seq_index
 from repro.errors import EvaluationError
-from repro.traces.histories import ChannelHistory
+from repro.traces.events import Channel
+from repro.traces.histories import ChannelHistory, MessageSeq
 from repro.values.environment import EMPTY, Environment
 from repro.values.expressions import Const
 
@@ -251,8 +258,12 @@ def _require_int(value: Any, op: str) -> None:
 # Compiled judges
 # ---------------------------------------------------------------------------
 
+#: ``ch(s)`` as the sat walk threads it: one message sequence per channel
+#: slot, ``history[slots[c]]`` for channel ``c`` (see :func:`compile_formula`).
+SlotHistory = Tuple[MessageSeq, ...]
+
 #: A compiled term or formula: ``(env, history) → value``.
-Compiled = Callable[[Environment, ChannelHistory], Any]
+Compiled = Callable[[Environment, SlotHistory], Any]
 
 #: The prefix test and the numeric test of each order comparison.
 _ORDERS = {
@@ -266,37 +277,46 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def compile_formula(
-    formula: Formula, config: EvalConfig = DEFAULT_EVAL_CONFIG
+    formula: Formula,
+    slots: Dict[Channel, int],
+    config: EvalConfig = DEFAULT_EVAL_CONFIG,
 ) -> Compiled:
     """``formula`` as a closure ``judge(env, history)`` that returns what
-    ``evaluate_formula(formula, env, history, config)`` returns, or
-    raises what it raises, with the same text.
+    ``evaluate_formula(formula, env, ch, config)`` returns, or raises
+    what it raises, with the same text, where ``history`` is ``ch`` read
+    through ``slots``: ``history[slots[c]]`` is ``ch(c)``.
 
     The syntax tree is dispatched over once, here, instead of at every
-    evaluation.  Compiling evaluates nothing that can fail: only closed
-    channel references (``wire``, ``col[2]``) are resolved up front, and
-    an unbound name, an out-of-range index or a type error surfaces when
-    the judge runs, on the history where the interpreter would fail.
+    evaluation.  Compiling evaluates nothing that can fail: it gives each
+    closed channel reference (``wire``, ``col[2]``) a slot, adding it to
+    ``slots`` if it has none, and the judge reads that slot directly, so
+    every ``history`` it is given must be at least ``len(slots)`` long as
+    compiling leaves it.  An open reference (``col[i]``) looks its
+    channel up in ``slots`` when judged, and reads ⟨⟩ when the channel
+    has no slot or its slot lies past the end of ``history``; ``slots``
+    may gain channels after compiling.  An unbound name, an out-of-range
+    index or a type error surfaces when the judge runs, on the history
+    where the interpreter would fail.
     """
     if isinstance(formula, BoolLit):
         value = formula.value
         return lambda env, history: value
     if isinstance(formula, Compare):
-        return _compile_compare(formula, config)
+        return _compile_compare(formula, slots, config)
     if isinstance(formula, LogicalAnd):
-        left = compile_formula(formula.left, config)
-        right = compile_formula(formula.right, config)
+        left = compile_formula(formula.left, slots, config)
+        right = compile_formula(formula.right, slots, config)
         return lambda env, history: left(env, history) and right(env, history)
     if isinstance(formula, LogicalOr):
-        left = compile_formula(formula.left, config)
-        right = compile_formula(formula.right, config)
+        left = compile_formula(formula.left, slots, config)
+        right = compile_formula(formula.right, slots, config)
         return lambda env, history: left(env, history) or right(env, history)
     if isinstance(formula, LogicalNot):
-        operand = compile_formula(formula.operand, config)
+        operand = compile_formula(formula.operand, slots, config)
         return lambda env, history: not operand(env, history)
     if isinstance(formula, Implies):
-        antecedent = compile_formula(formula.antecedent, config)
-        consequent = compile_formula(formula.consequent, config)
+        antecedent = compile_formula(formula.antecedent, slots, config)
+        consequent = compile_formula(formula.consequent, slots, config)
 
         def implies(env, history):
             if not antecedent(env, history):
@@ -307,7 +327,7 @@ def compile_formula(
     if isinstance(formula, (ForAll, Exists)):
         quantifier = all if isinstance(formula, ForAll) else any
         domain_expr, variable = formula.domain, formula.variable
-        body = compile_formula(formula.body, config)
+        body = compile_formula(formula.body, slots, config)
 
         def quantified(env, history):
             domain = domain_expr.evaluate(env)
@@ -324,9 +344,11 @@ def compile_formula(
     return unknown
 
 
-def _compile_compare(formula: Compare, config: EvalConfig) -> Compiled:
-    left_of = _compile_term(formula.left, config)
-    right_of = _compile_term(formula.right, config)
+def _compile_compare(
+    formula: Compare, slots: Dict[Channel, int], config: EvalConfig
+) -> Compiled:
+    left_of = _compile_term(formula.left, slots, config)
+    right_of = _compile_term(formula.right, slots, config)
     op = formula.op
     if op == "=":
         return lambda env, history: left_of(env, history) == right_of(env, history)
@@ -346,7 +368,9 @@ def _compile_compare(formula: Compare, config: EvalConfig) -> Compiled:
     return compare
 
 
-def _compile_term(term: Term, config: EvalConfig) -> Compiled:
+def _compile_term(
+    term: Term, slots: Dict[Channel, int], config: EvalConfig
+) -> Compiled:
     if isinstance(term, ConstTerm):
         value = term.value
         return lambda env, history: value
@@ -356,15 +380,23 @@ def _compile_term(term: Term, config: EvalConfig) -> Compiled:
     if isinstance(term, ChannelTrace):
         reference = term.channel
         if reference.index is None or type(reference.index) is Const:
-            chan = reference.evaluate(EMPTY)  # closed: nothing can fail
-            return lambda env, history: history(chan)
-        return lambda env, history: history(reference.evaluate(env))
+            # closed: nothing can fail, and the slot is below len(history)
+            slot = slots.setdefault(reference.evaluate(EMPTY), len(slots))
+            return lambda env, history: history[slot]
+
+        def open_reference(env, history):
+            slot = slots.get(reference.evaluate(env))
+            if slot is None or slot >= len(history):
+                return ()
+            return history[slot]
+
+        return open_reference
     if isinstance(term, SeqLit):
-        elements = tuple(_compile_term(e, config) for e in term.elements)
+        elements = tuple(_compile_term(e, slots, config) for e in term.elements)
         return lambda env, history: tuple(e(env, history) for e in elements)
     if isinstance(term, Cons):
-        head_of = _compile_term(term.head, config)
-        tail_of = _compile_term(term.tail, config)
+        head_of = _compile_term(term.head, slots, config)
+        tail_of = _compile_term(term.tail, slots, config)
 
         def cons(env, history):
             head = head_of(env, history)
@@ -374,8 +406,8 @@ def _compile_term(term: Term, config: EvalConfig) -> Compiled:
 
         return cons
     if isinstance(term, Concat):
-        left_of = _compile_term(term.left, config)
-        right_of = _compile_term(term.right, config)
+        left_of = _compile_term(term.left, slots, config)
+        right_of = _compile_term(term.right, slots, config)
 
         def concat(env, history):
             left = left_of(env, history)
@@ -386,7 +418,7 @@ def _compile_term(term: Term, config: EvalConfig) -> Compiled:
 
         return concat
     if isinstance(term, Length):
-        sequence_of = _compile_term(term.sequence, config)
+        sequence_of = _compile_term(term.sequence, slots, config)
 
         def length(env, history):
             seq = sequence_of(env, history)
@@ -395,8 +427,8 @@ def _compile_term(term: Term, config: EvalConfig) -> Compiled:
 
         return length
     if isinstance(term, Index):
-        sequence_of = _compile_term(term.sequence, config)
-        index_of = _compile_term(term.index, config)
+        sequence_of = _compile_term(term.sequence, slots, config)
+        index_of = _compile_term(term.index, slots, config)
 
         def index(env, history):
             seq = sequence_of(env, history)
@@ -410,10 +442,10 @@ def _compile_term(term: Term, config: EvalConfig) -> Compiled:
 
         return index
     if isinstance(term, Arith):
-        return _compile_arith(term, config)
+        return _compile_arith(term, slots, config)
     if isinstance(term, Apply):
         name = term.name
-        args_of = tuple(_compile_term(a, config) for a in term.args)
+        args_of = tuple(_compile_term(a, slots, config) for a in term.args)
 
         def apply(env, history):
             func = env.lookup(name, kind="function")
@@ -430,9 +462,9 @@ def _compile_term(term: Term, config: EvalConfig) -> Compiled:
         return apply
     if isinstance(term, Sum):
         variable = term.variable
-        low_of = _compile_term(term.low, config)
-        high_of = _compile_term(term.high, config)
-        body_of = _compile_term(term.body, config)
+        low_of = _compile_term(term.low, slots, config)
+        high_of = _compile_term(term.high, slots, config)
+        body_of = _compile_term(term.body, slots, config)
 
         def total(env, history):
             low = low_of(env, history)
@@ -454,9 +486,11 @@ def _compile_term(term: Term, config: EvalConfig) -> Compiled:
     return unknown
 
 
-def _compile_arith(term: Arith, config: EvalConfig) -> Compiled:
-    left_of = _compile_term(term.left, config)
-    right_of = _compile_term(term.right, config)
+def _compile_arith(
+    term: Arith, slots: Dict[Channel, int], config: EvalConfig
+) -> Compiled:
+    left_of = _compile_term(term.left, slots, config)
+    right_of = _compile_term(term.right, slots, config)
     op = term.op
     plain = _ARITH.get(op)
     divide = operator.floordiv if op == "div" else operator.mod

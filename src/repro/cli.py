@@ -155,7 +155,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from repro.report import render_partial
+    from repro.report import partial_traces_note, render_partial
     from repro.traces.stats import format_stats, reset_stats
 
     defs = _load(args)
@@ -177,11 +177,26 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 f"({result.traces_checked} traces, depth ≤ {args.depth})"
             )
         else:
-            closure = checker.traces_of(target)
-            print(
-                f"{target.name}: {len(closure)} traces in {closure.node_count()} "
-                f"trie nodes (depth ≤ {args.depth}, engine {args.engine})"
-            )
+            # Under a budget, the depth schedule's deepest finished
+            # closure, as `traces` lists it.
+            partial = checker.traces_partial(target)
+            closure = partial.closure
+            if closure is not None:
+                reach = (
+                    f"depth ≤ {args.depth}"
+                    if partial.complete
+                    else f"verified to depth {partial.verified_depth} of "
+                    f"{args.depth}"
+                )
+                print(
+                    f"{'' if partial.complete else 'PARTIAL: '}"
+                    f"{target.name}: {len(closure)} traces in "
+                    f"{closure.node_count()} trie nodes ({reach}, engine "
+                    f"{args.engine})"
+                )
+            if not partial.complete:
+                print(partial_traces_note(partial), file=sys.stderr)
+                code = EXIT_BUDGET
     except BudgetExceeded as exc:
         print(render_partial(exc), file=sys.stderr)
         code = EXIT_BUDGET

@@ -138,12 +138,7 @@ def traces_outcome(result, depth: int, engine: str) -> "Tuple[str, str, int]":
     ``(stdout, stderr, exit_code)``; ``result`` is a
     :class:`~repro.sat.checker.PartialTraces`."""
     if result.closure is None:
-        return (
-            "",
-            "budget exhausted before even depth 0 completed; no traces "
-            "to report",
-            EXIT_BUDGET,
-        )
+        return "", partial_traces_note(result), EXIT_BUDGET
     listing = format_traces(result.closure)
     if result.complete:
         head = (
@@ -157,9 +152,22 @@ def traces_outcome(result, depth: int, engine: str) -> "Tuple[str, str, int]":
     )
     return (
         f"{head}\n{listing}" if listing else head,
-        f"budget exhausted at depth {result.verified_depth}; traces up to "
-        f"that length are exact",
+        partial_traces_note(result),
         EXIT_BUDGET,
+    )
+
+
+def partial_traces_note(result) -> str:
+    """What a budget-stopped enumeration proves, for stderr: ``result``
+    is a :class:`~repro.sat.checker.PartialTraces` that is not complete."""
+    if result.closure is None:
+        return (
+            "budget exhausted before even depth 0 completed; no traces "
+            "to report"
+        )
+    return (
+        f"budget exhausted at depth {result.verified_depth}; traces up to "
+        f"that length are exact"
     )
 
 

@@ -16,10 +16,14 @@ left-to-right — and judges ``R`` once per distinct pair (trie node,
 ``ch(s)``) rather than once per trace: two traces reaching the same
 node with the same history have the same continuations and the same
 histories along them, so ``R`` agrees on every extension of both.
-The walk judges each pair through ``R`` compiled once per closure it
-walks (:func:`~repro.assertions.eval.compile_formula`).  ``trie_walk=False``
+One walk asks for the histories of a small, fixed set of channels, so
+it threads ``ch(s)`` as a plain tuple of message sequences, one per
+channel *slot* (slots are numbered per check), and judges each pair
+through ``R`` compiled once per closure it walks to read that tuple by
+slot (:func:`~repro.assertions.eval.compile_formula`).  ``trie_walk=False``
 restores the flat per-trace loop, which judges through the interpreter
-:func:`~repro.assertions.eval.evaluate_formula` (kept as the oracle);
+:func:`~repro.assertions.eval.evaluate_formula` over
+:class:`~repro.traces.histories.ChannelHistory` (kept as the oracle);
 both modes report the same verdict, count and counterexample.
 
 An evaluation error while judging ``R`` on a trace (e.g. an unguarded
@@ -41,6 +45,7 @@ from repro.assertions.eval import (
     DEFAULT_EVAL_CONFIG,
     Compiled,
     EvalConfig,
+    SlotHistory,
     compile_formula,
     evaluate_formula,
 )
@@ -54,8 +59,8 @@ from repro.runtime.governor import Governor
 from repro.sat.counterexample import Counterexample
 from repro.semantics.config import DEFAULT_CONFIG, SemanticsConfig
 from repro.semantics.denotation import Denoter
-from repro.traces.events import Trace
-from repro.traces.histories import ChannelHistory, ch
+from repro.traces.events import Channel, Trace
+from repro.traces.histories import ch
 from repro.traces.prefix_closure import FiniteClosure
 from repro.traces.snapshot import SnapshotCache
 from repro.traces.trie import ClosureNode
@@ -66,8 +71,7 @@ from repro.values.environment import Environment
 class SatResult(NamedTuple):
     """Outcome of a bounded ``sat`` check.
 
-    ``complete`` is False only for partial results assembled after a
-    budget trip; ``verified_depth`` is the depth of the closure a
+    ``verified_depth`` is the depth of the closure a
     :meth:`SatChecker.check` verdict covers: the configured depth for a
     HOLDS, the depth whose walk met the counterexample for a VIOLATED.
     """
@@ -75,7 +79,6 @@ class SatResult(NamedTuple):
     holds: bool
     counterexample: Optional[Counterexample]
     traces_checked: int
-    complete: bool = True
     verified_depth: Optional[int] = None
 
     def __bool__(self) -> bool:
@@ -304,16 +307,24 @@ class SatChecker:
         a pair was skipped is walked again canonically, so its
         ``traces_checked`` is the flat loop's (the number of traces
         judged up to and including the first violation); a walk that
-        skipped nothing already was the canonical one.  Both walks judge
-        through ``formula`` compiled once, here."""
-        judge = compile_formula(formula, self.eval_config)
+        skipped nothing already was the canonical one.
+
+        Both walks judge through ``formula`` compiled once, here, and
+        share one map of channel slots: compiling gives each closed
+        channel reference of ``R`` a slot, and a walk gives each edge's
+        channel one when it first meets it.  Every walk starts from
+        ``((),) * len(slots)`` as compiling left it."""
+        slots: Dict[Channel, int] = {}
+        judge = compile_formula(formula, slots, self.eval_config)
+        start = ((),) * len(slots)
         root = closure.root
         result, skipped = self._walk_trie(
-            root, formula, judge, env, bindings, quotient=True
+            root, formula, judge, slots, start, env, bindings, quotient=True
         )
         if not result.holds and skipped:
             result, _ = self._walk_trie(
-                root, formula, judge, env, bindings, quotient=False
+                root, formula, judge, slots, start, env, bindings,
+                quotient=False,
             )
         return result
 
@@ -322,15 +333,24 @@ class SatChecker:
         root: ClosureNode,
         formula: Formula,
         judge: Compiled,
+        slots: Dict[Channel, int],
+        start: SlotHistory,
         env: Environment,
         bindings: Optional[Mapping[str, Any]],
         quotient: bool,
     ) -> Tuple[SatResult, bool]:
-        """Breadth-first trie walk with the channel history threaded down
-        each edge — one :meth:`ChannelHistory.with_appended` per visited
-        node instead of one full ``ch(s)`` pass per trace — judging each
-        visited pair through ``judge``, ``formula`` compiled.  Returns
-        the result and whether any pair was skipped.
+        """Breadth-first trie walk with ``ch(s)`` threaded down each edge
+        as a tuple of message sequences, one per channel slot — one tuple
+        splice per visited edge instead of one full ``ch(s)`` pass per
+        trace — judging each visited pair through ``judge``, ``formula``
+        compiled.  Returns the result and whether any pair was skipped.
+
+        A node's edges are read once per walk, as ``(event, slot,
+        message, child)``; the first read of an edge on a channel without
+        a slot gives it the next one.  Appending to a slot past the end
+        of a history pads it with ⟨⟩, so a history is as long as the
+        larger of ``len(start)`` and 1 + its highest non-empty slot, and
+        two traces with equal ``ch(s)`` have equal tuples.
 
         With ``quotient``, each pair (trie node, ``ch(s)``) is judged
         once: a child whose pair an earlier trace already reached is
@@ -345,11 +365,11 @@ class SatChecker:
         consulted only there: a sequential trie walks without hashing a
         single history.
         """
-        queue: Deque[Tuple[Trace, ClosureNode, ChannelHistory, bool]] = deque(
-            [((), root, ChannelHistory(), False)]
+        queue: Deque[Tuple[Trace, ClosureNode, SlotHistory, bool]] = deque(
+            [((), root, start, False)]
         )
-        seen: Set[Tuple[ClosureNode, ChannelHistory]] = set()
-        interleaves: Dict[ClosureNode, bool] = {}
+        seen: Set[Tuple[ClosureNode, SlotHistory]] = set()
+        edges: Dict[ClosureNode, Tuple[Tuple[Any, ...], bool]] = {}
         checked = 0
         skipped = False
         while queue:
@@ -368,15 +388,31 @@ class SatChecker:
                 return SatResult(
                     False, Counterexample(trace, formula, bindings), checked
                 ), skipped
-            items = node.items
+            read = edges.get(node)
+            if read is None:
+                moves = tuple(
+                    (event, slots.setdefault(event.channel, len(slots)),
+                     event.message, child)
+                    for event, child in node.items
+                )
+                read = edges[node] = (
+                    moves, len({move[1] for move in moves}) > 1
+                )
+            moves, interleaves = read
             if quotient and not merging:
-                merging = interleaves.get(node)
-                if merging is None:
-                    merging = interleaves[node] = (
-                        len({event.channel for event, _ in items}) > 1
+                merging = interleaves
+            length = len(history)
+            for event, slot, message, child in moves:
+                if slot < length:
+                    child_history = (
+                        history[:slot]
+                        + (history[slot] + (message,),)
+                        + history[slot + 1:]
                     )
-            for event, child in items:
-                child_history = history.with_appended(event.channel, event.message)
+                else:
+                    child_history = (
+                        history + ((),) * (slot - length) + ((message,),)
+                    )
                 if merging:
                     # Add and compare sizes: one history hash per pair.
                     size = len(seen)

@@ -11,7 +11,13 @@ paper's worked example::
 
 Assertions are evaluated in the environment ``ρ + ch(s)``, where channel
 names take the values ``ch(s)`` ascribes to them; :class:`ChannelHistory`
-is that extension's channel part.
+is that extension's channel part, the one the interpreter
+(:func:`~repro.assertions.eval.evaluate_formula`), the proof oracle and
+the flat per-trace sat loop read.  The sat trie walk threads ``ch(s)``
+another way: one walk asks for a small, fixed set of channels, so it
+keeps a plain tuple of message sequences indexed by channel slots that
+are local to the check (:class:`~repro.sat.checker.SatChecker`), and
+reads it through :func:`~repro.assertions.eval.compile_formula`.
 """
 
 from __future__ import annotations
@@ -65,20 +71,6 @@ class ChannelHistory:
         updated = dict(self._sequences)
         updated[chan] = (message,) + self(chan)
         return ChannelHistory(updated)
-
-    def with_appended(self, chan: Channel, message: Message) -> "ChannelHistory":
-        """The history with ``message`` *appended* to channel ``chan`` —
-        ``ch(s⌢c.m) = ch(s)[(ch(s)(c)⌢m)/c]``, the left-to-right reading
-        of the §3.3 update.  This is the incremental step the trie-walking
-        sat checker threads down each edge, so the history of a shared
-        prefix is computed once instead of once per extending trace."""
-        updated = dict(self._sequences)
-        updated[chan] = self(chan) + (message,)
-        # Invariants hold (all values are non-empty tuples): skip the
-        # constructor's re-normalisation on this hot path.
-        result = ChannelHistory.__new__(ChannelHistory)
-        result._sequences = updated
-        return result
 
     def restrict_away(self, channels: FrozenSet[Channel]) -> "ChannelHistory":
         """Histories with the given channels' records removed — mirrors

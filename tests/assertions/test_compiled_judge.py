@@ -1,10 +1,13 @@
 """The compiled judge against the interpreter it is held to.
 
-``compile_formula(R)`` must answer as ``evaluate_formula(R, …)`` does on
-every formula and history: the same truth value, or the same exception
-type with the same text.  Compiling itself never raises; whatever can
-fail fails when the judge runs.  The generated formulas cover every
-term and formula node, including the ways each one fails.
+``compile_formula(R, slots)`` must answer as ``evaluate_formula(R, …)``
+does on every formula and history: the same truth value, or the same
+exception type with the same text.  The judge reads ``ch(s)`` as the sat
+walk threads it, a tuple indexed by channel slots; the interpreter reads
+the same history as a :class:`ChannelHistory`.  Compiling itself never
+raises; whatever can fail fails when the judge runs.  The generated
+formulas cover every term and formula node, including the ways each one
+fails.
 """
 
 import pytest
@@ -41,8 +44,8 @@ from repro.process.channels import ChannelExpr
 from repro.sat import checker as sat_checker
 from repro.sat.checker import SatChecker
 from repro.semantics.config import SemanticsConfig
-from repro.traces.events import Channel, trace
-from repro.traces.histories import ChannelHistory, ch
+from repro.traces.events import Channel
+from repro.traces.histories import ChannelHistory
 from repro.values.domains import FiniteDomain
 from repro.values.environment import Environment
 from repro.values.expressions import (
@@ -101,6 +104,9 @@ HISTORIES = st.dictionaries(
 
 #: ``j``/``k`` are bound by quantifiers and sums; ``u`` never is.
 NAMES = ("x", "s", "i", "flag", "j", "k", "u")
+
+#: The channel names the unit cases' assertions parse with.
+CHANNEL_NAMES = {"input", "wire", "never", "col"}
 
 CHANNEL_REFS = st.sampled_from(
     [
@@ -190,37 +196,102 @@ def _outcome(run):
     return ("returned", type(value), value)
 
 
+def _slotted(history, slots, start):
+    """``history`` as the sat walk threads it: registers each of its
+    channels that has no slot yet, then lays it out by slot, as long as
+    the larger of ``start`` and 1 + its highest non-empty slot."""
+    for chan, _ in history.items():
+        slots.setdefault(chan, len(slots))
+    length = max([start] + [slots[chan] + 1 for chan in history.channels()])
+    by_slot = {slot: chan for chan, slot in slots.items()}
+    return tuple(history(by_slot[slot]) for slot in range(length))
+
+
 @settings(max_examples=600, deadline=None)
-@given(FORMULAS, HISTORIES, st.sampled_from([1, 3]))
-def test_judge_answers_as_the_interpreter(formula, history, quant_bound):
+@given(
+    FORMULAS,
+    HISTORIES,
+    st.lists(st.sampled_from(CHANNELS), unique=True),
+    st.sampled_from([1, 3]),
+)
+def test_judge_answers_as_the_interpreter(formula, history, met, quant_bound):
+    """``met``: channels the walk gave a slot after compiling, as its
+    edges carried them; a history need not reach their slots."""
     config = EvalConfig(quant_bound=quant_bound)
-    judge = compile_formula(formula, config)  # never raises
+    slots = {}
+    judge = compile_formula(formula, slots, config)  # never raises
+    start = len(slots)
+    for chan in met:
+        slots.setdefault(chan, len(slots))
+    slotted = _slotted(history, slots, start)
     want = _outcome(lambda: evaluate_formula(formula, ENV, history, config))
-    got = _outcome(lambda: judge(ENV, history))
+    got = _outcome(lambda: judge(ENV, slotted))
     assert got == want
 
 
 class TestFailuresSurfaceWhenJudged:
     def test_unbound_name(self):
         formula = parse_assertion("input_1 <= 5", {"input"})
-        judge = compile_formula(formula)
+        judge = compile_formula(formula, {})
         with pytest.raises(UnboundVariableError) as caught:
-            judge(Environment(), ch(()))
+            judge(Environment(), ())
         assert str(caught.value) == "unbound variable: 'input_1'"
 
     def test_index_out_of_range_is_short_circuited(self):
         formula = parse_assertion("#input <= 1 or input@3 >= 0", {"input"})
-        judge = compile_formula(formula)
-        short = ch(trace(("input", 0)))
-        long = ch(trace(("input", 0), ("input", 1)))
-        assert judge(Environment(), short) is True
+        slots = {}
+        judge = compile_formula(formula, slots)
+        assert slots == {Channel("input"): 0}
+        assert judge(Environment(), ((0,),)) is True
         with pytest.raises(EvaluationError, match=r"^index 3 outside 1\.\.2$"):
-            judge(Environment(), long)
+            judge(Environment(), ((0, 1),))
 
     def test_unknown_node(self):
-        judge = compile_formula("not a formula")
+        judge = compile_formula("not a formula", {})
         with pytest.raises(EvaluationError, match="unknown formula"):
-            judge(Environment(), ch(()))
+            judge(Environment(), ())
+
+
+class TestSlots:
+    """How the judge reads channels that the walk has not met."""
+
+    def test_closed_reference_to_a_channel_no_edge_carries(self):
+        slots = {}
+        judge = compile_formula(
+            parse_assertion("#never = 0 & wire <= input", CHANNEL_NAMES),
+            slots,
+        )
+        assert slots == {
+            Channel("never"): 0, Channel("wire"): 1, Channel("input"): 2,
+        }
+        assert judge(Environment(), ((), (), ())) is True
+        assert judge(Environment(), ((), (4,), (4, 5))) is True
+        assert judge(Environment(), ((), (5,), (4, 5))) is False
+
+    def test_open_reference_to_a_channel_without_a_slot(self):
+        slots = {}
+        judge = compile_formula(
+            parse_assertion("forall i : {0,1} . #col[i] = 0", CHANNEL_NAMES),
+            slots,
+        )
+        assert slots == {}  # nothing closed to slot
+        assert judge(Environment(), ()) is True
+        slots[Channel("wire")] = 0
+        assert judge(Environment(), ((7,),)) is True
+
+    def test_a_channel_slotted_after_compiling(self):
+        slots = {}
+        judge = compile_formula(
+            parse_assertion("exists i : {0,1} . col[i] = <5>", CHANNEL_NAMES),
+            slots,
+        )
+        slots[Channel("col", 0)] = 0
+        slots[Channel("col", 1)] = 1
+        assert judge(Environment(), ((5,),)) is True
+        # col[1]'s slot lies past the end: it reads ⟨⟩
+        assert judge(Environment(), ((4,),)) is False
+        assert judge(Environment(), ((4,), (5,))) is True
+        assert judge(Environment(), ((), (5, 5))) is False
 
 
 def test_the_sat_walk_judges_without_the_interpreter(monkeypatch):

